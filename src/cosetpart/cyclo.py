@@ -3,18 +3,39 @@ rational functions at the scaled roots of unity z0 = zeta_h^m / n.
 
 The point z0 is always handled symbolically through the triple
 (h, m, n); numbers in Q(zeta_h) are rational-coefficient polynomials in
-zeta_h reduced modulo the h-th cyclotomic polynomial.  residue_numeric
-is a floating-point cross-check for debugging only; every acceptance
-check runs on the exact path.
+zeta_h reduced modulo the h-th cyclotomic polynomial Phi_h.  A residue
+N(z0)/D'(z0) takes three steps, none of them arithmetic in Q(zeta_h)
+term by term:
+
+- Pole test.  z0 is a primitive root of unity of order h' = h/gcd(m, h)
+  scaled by 1/n, so its minimal polynomial over Q is Phi_h'(nz) up to a
+  constant.  z0 is a root of D of multiplicity k iff Phi_h'(nz)^k
+  divides D: integer divisibility tests, the same for every m coprime
+  to h.
+- Evaluation.  n^deg p(zeta_h^m / n) = sum_k c_k n^(deg-k) zeta_h^(km):
+  the integer terms are bucketed by km mod h and reduced once modulo the
+  monic Phi_h, all over the integers.  N and D' are evaluated this way
+  and divided once in Q(zeta_h).
+- Galois conjugation.  For m coprime to h, sigma_m: zeta_h -> zeta_h^m
+  is an automorphism of Q(zeta_h) fixing Q.  Generating functions have
+  rational coefficients, so the residue at zeta_h^m / n is sigma_m of the
+  residue at zeta_h / n (CycloNumber.conjugate), and a residue sum need
+  only be computed at m = 1.
+
+oracle keeps the direct route (Horner's rule in Q(zeta_h), pole order
+from successive derivatives) as an independent reference.
+residue_numeric is a floating-point cross-check for debugging only;
+every acceptance check runs on the exact path.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import IntPolynomial
+from .poly import IntPolynomial, divmod_frac
 from .ratfunc import RationalFunction
 
 
@@ -37,22 +58,6 @@ def cyclotomic(h: int) -> IntPolynomial:
         if h % d == 0:
             p = p.exact_div(cyclotomic(d))
     return p
-
-
-def _qdivmod(num: list[Fraction], den: list[Fraction]):
-    r = list(num)
-    dn = len(den)
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(r) - dn + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        t = r[k + dn - 1] / lead
-        quo[k] = t
-        if t:
-            for j in range(dn):
-                r[k + j] -= t * den[j]
-    while r and not r[-1]:
-        r.pop()
-    return quo, r
 
 
 def _qtrim(c: list[Fraction]) -> list[Fraction]:
@@ -91,8 +96,7 @@ class CycloNumber:
         phi = cyclotomic(h).degree
         c = [Fraction(x) for x in coeffs]
         if len(c) >= phi + 1:
-            mod = [Fraction(x) for x in cyclotomic(h).coeffs]
-            _, c = _qdivmod(c, mod)
+            _, c = divmod_frac(c, cyclotomic(h).coeffs)
         c += [Fraction(0)] * (phi - len(c))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "coeffs", tuple(c))
@@ -174,7 +178,7 @@ class CycloNumber:
         r0, r1 = mod, _qtrim(list(self.coeffs))
         u0, u1 = [], [Fraction(1)]
         while r1:
-            q, r = _qdivmod(r0, r1)
+            q, r = divmod_frac(r0, r1)
             r0, r1 = r1, r
             u0, u1 = u1, _qsub(u0, _qmul(q, u1))
         # invariant r_i == u_i * self (mod Phi); r0 is a nonzero constant
@@ -189,34 +193,91 @@ class CycloNumber:
             return NotImplemented
         return self * other.inverse()
 
+    def conjugate(self, m: int) -> "CycloNumber":
+        """sigma_m(self) for the automorphism zeta_h -> zeta_h^m of
+        Q(zeta_h); m must be coprime to h."""
+        if math.gcd(m, self.h) != 1:
+            raise ValueError(f"m = {m} must be coprime to h = {self.h}")
+        out = [Fraction(0)] * self.h
+        for k, c in enumerate(self.coeffs):
+            out[k * m % self.h] += c
+        return CycloNumber(self.h, out)
+
     def __repr__(self):
         return f"CycloNumber(h={self.h}, coeffs={[str(c) for c in self.coeffs]})"
 
 
-def root_point(h: int, m: int, n: int) -> CycloNumber:
-    """z0 = zeta_h^m / n as an exact element of Q(zeta_h)."""
+def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
+    """The largest k with Phi_h(nz)^k dividing den: the multiplicity of
+    every zeta_h^m / n with m coprime to h as a root of den."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return CycloNumber.zeta_power(h, m) * Fraction(1, n)
+    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma each
+    # exact quotient is integral
+    factor = IntPolynomial([c * n**j for j, c in enumerate(cyclotomic(h).coeffs)])
+    order = 0
+    while den.degree >= factor.degree:
+        quo, rem = divmod_frac(den.coeffs, factor.coeffs)
+        if rem:
+            break
+        order += 1
+        den = IntPolynomial([int(c) for c in quo])
+    return order
+
+
+def _root_order(h: int, m: int) -> int:
+    # zeta_h^m is a primitive root of unity of this order
+    if h < 1:
+        raise ValueError("order must be >= 1")
+    return h // math.gcd(m, h)
+
+
+def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
+    """Integer coefficients over zeta_h, reduced mod Phi_h, of
+    n^deg(p) * p(zeta_h^m / n)."""
+    if h < 1:
+        raise ValueError("order must be >= 1")
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    buckets = [0] * h
+    scale = 1
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if c:
+            buckets[k * m % h] += c * scale
+        scale *= n
+    return divmod_frac(buckets, cyclotomic(h).coeffs)[1]
 
 
 def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
     """p(zeta_h^m / n), exactly."""
-    acc = p(root_point(h, m, n))
-    if isinstance(acc, int):
-        acc = CycloNumber.from_rational(h, acc)
-    return acc
+    return CycloNumber(h, [Fraction(c, n**p.degree) for c in _scaled_eval(p, h, m, n)])
+
+
+def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
+    """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
+    a pole.  Raises NotSimple if z0 is a multiple pole."""
+    order = pole_multiplicity(f.den, _root_order(h, m), n)
+    if not order:
+        return None
+    if order > 1:
+        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
+    dprime = f.den.derivative()
+    num = _scaled_eval(f.num, h, m, n)
+    den = _scaled_eval(dprime, h, m, n)
+    # N(z0)/D'(z0) = n^(deg D' - deg N) * num/den
+    shift = dprime.degree - f.num.degree
+    if shift >= 0:
+        num = [c * n**shift for c in num]
+    else:
+        den = [c * n**-shift for c in den]
+    return CycloNumber(h, num) / CycloNumber(h, den)
 
 
 def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
     """Multiplicity of z0 = zeta_h^m / n as a root of the denominator
     (0 if z0 is not a pole)."""
-    den = f.den
-    order = 0
-    while eval_at_root(den, h, m, n).is_zero():
-        order += 1
-        den = den.derivative()
-    return order
+    return pole_multiplicity(f.den, _root_order(h, m), n)
 
 
 def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
@@ -224,12 +285,10 @@ def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
 
     Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.
     """
-    if not eval_at_root(f.den, h, m, n).is_zero():
+    value = residue_at(f, h, m, n)
+    if value is None:
         raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
-    dprime = eval_at_root(f.den.derivative(), h, m, n)
-    if dprime.is_zero():
-        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
-    return eval_at_root(f.num, h, m, n) / dprime
+    return value
 
 
 def residue_numeric(f: RationalFunction, h: int, m: int, n: int) -> complex:

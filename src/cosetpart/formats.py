@@ -21,7 +21,7 @@ from .partition import AnalysisReport, PartitionSpec, PartitionVerdict
 from .poly import IntPolynomial
 from .ratfunc import RationalFunction
 from .schreier import SchreierGraph, coset, fold, from_permutations
-from .words import format_word, parse_word
+from .words import check_rank, format_word, parse_word
 
 
 def poly_to_json(p: IntPolynomial) -> list[str]:
@@ -64,13 +64,17 @@ def parse_subgroup(obj) -> SchreierGraph:
     if "rank" not in obj:
         raise ValueError("subgroup record is missing 'rank'")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"'rank' must be a positive integer, got {rank!r}")
+    check_rank(rank)
     if "generators" in obj:
-        words = [parse_word(text, rank) for text in obj["generators"]]
-        return fold(rank, words)
+        gens = obj["generators"]
+        if not isinstance(gens, list) or not all(isinstance(w, str) for w in gens):
+            raise ValueError("'generators' must be a list of words")
+        return fold(rank, [parse_word(text, rank) for text in gens])
     if "permutations" in obj:
-        return from_permutations(rank, obj["permutations"], obj.get("basepoint", 1))
+        perms = obj["permutations"]
+        if not isinstance(perms, list) or not all(isinstance(p, list) for p in perms):
+            raise ValueError("'permutations' must be a list of lists")
+        return from_permutations(rank, perms, obj.get("basepoint", 1))
     raise ValueError("subgroup record needs 'generators' or 'permutations'")
 
 
@@ -91,14 +95,22 @@ def parse_partition_file(obj) -> PartitionSpec:
     if not isinstance(obj, dict) or "members" not in obj or "rank" not in obj:
         raise ValueError("partition file needs 'rank' and 'members'")
     rank = obj["rank"]
+    check_rank(rank)
+    if not isinstance(obj["members"], list):
+        raise ValueError("'members' must be a list")
     members = []
     for i, rec in enumerate(obj["members"], start=1):
+        if not isinstance(rec, dict):
+            raise ValueError(f"member {i} must be an object")
         if "subgroup" not in rec:
             raise ValueError(f"member {i} is missing 'subgroup'")
         graph = parse_subgroup(rec["subgroup"])
         if graph.rank != rank:
             raise ValueError(f"member {i} rank {graph.rank} != file rank {rank}")
-        members.append(coset(graph, parse_word(rec.get("coset_rep", ""), rank)))
+        rep = rec.get("coset_rep", "")
+        if not isinstance(rep, str):
+            raise ValueError(f"member {i} 'coset_rep' must be a word")
+        members.append(coset(graph, parse_word(rep, rank)))
     return PartitionSpec(rank, tuple(members))
 
 

@@ -3,14 +3,19 @@
 Everything here enumerates: positive words one by one for counting,
 simple cycles for the period, reduced words for partition defects.  The
 budgets are hard caps with loud errors, never silent truncation.
+Residues at the scaled roots of unity are recomputed the direct way:
+Horner's rule in Q(zeta_h) at the point itself, with the pole order read
+off successive derivatives.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import networkx as nx
 
+from .cyclo import CycloNumber, NotAPole, NotSimple
 from .partition import (
     GAP,
     IS_PARTITION,
@@ -18,6 +23,8 @@ from .partition import (
     PartitionSpec,
     PartitionVerdict,
 )
+from .poly import IntPolynomial
+from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
 from .words import enumerate_positive, enumerate_reduced
 
@@ -82,3 +89,36 @@ def partition_by_words(spec: PartitionSpec, max_len: int) -> PartitionVerdict:
                 OVERLAP, witness=word, overlap_indices=(hits[0], hits[1])
             )
     return PartitionVerdict(IS_PARTITION)
+
+
+def eval_at_root_by_horner(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
+    """p(zeta_h^m / n) by Horner's rule at the point itself, one field
+    operation per coefficient."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    acc = p(CycloNumber.zeta_power(h, m) * Fraction(1, n))
+    if isinstance(acc, int):
+        acc = CycloNumber.from_rational(h, acc)
+    return acc
+
+
+def pole_order_by_derivatives(f: RationalFunction, h: int, m: int, n: int) -> int:
+    """Multiplicity of zeta_h^m / n as a root of the denominator: the number
+    of successive derivatives that vanish there."""
+    den = f.den
+    order = 0
+    while eval_at_root_by_horner(den, h, m, n).is_zero():
+        order += 1
+        den = den.derivative()
+    return order
+
+
+def residue_by_horner(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
+    """N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n, each factor
+    evaluated at z0 itself; raises NotAPole or NotSimple."""
+    if not eval_at_root_by_horner(f.den, h, m, n).is_zero():
+        raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
+    dprime = eval_at_root_by_horner(f.den.derivative(), h, m, n)
+    if dprime.is_zero():
+        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
+    return eval_at_root_by_horner(f.num, h, m, n) / dprime

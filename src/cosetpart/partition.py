@@ -27,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .cyclo import CycloNumber, pole_order, residue_numeric, residue_simple
+from .cyclo import CycloNumber, pole_multiplicity, residue_at, residue_numeric
 from .poly import IntPolynomial, poly_gcd
 from .ratfunc import ZERO, RationalFunction, genfunc, geometric, series_from_matrix
 from .schreier import (
@@ -308,17 +308,18 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     z0 = zeta_h^m / n, of the residues there.
 
     Zero on genuine partitions whenever h > 1; for h = 1 the point 1/n is
-    a pole of 1/(1-nz) itself and the sum is its residue -1/n.
+    a pole of 1/(1-nz) itself and the sum is its residue -1/n.  The pole
+    set is the same for every m coprime to h, so the sum is computed at
+    zeta_h / n and carried to z0 by the Galois automorphism sigma_m.
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
-    n = spec.rank
     total = CycloNumber.zero(h)
     for member in spec.members:
-        f = member_genfunc(member)
-        if pole_order(f, h, m, n) >= 1:
-            total = total + residue_simple(f, h, m, n)
-    return total
+        value = residue_at(member_genfunc(member), h, 1, spec.rank)
+        if value is not None:
+            total = total + value
+    return total.conjugate(m)
 
 
 def _strip_common_factors(g: IntPolynomial, other: IntPolynomial) -> IntPolynomial:
@@ -690,13 +691,16 @@ def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
 
 def _numeric_residue_section(spec: PartitionSpec, pairs) -> tuple[dict, ...]:
     tol = 1e-9
+    genfuncs = [member_genfunc(member) for member in spec.members]
+    poles = {
+        h: [f for f in genfuncs if pole_multiplicity(f.den, h, spec.rank)]
+        for h in {h for h, _ in pairs}
+    }
     out = []
     for h, m in pairs:
         total = 0j
-        for member in spec.members:
-            f = member_genfunc(member)
-            if pole_order(f, h, m, spec.rank) >= 1:
-                total += residue_numeric(f, h, m, spec.rank)
+        for f in poles[h]:
+            total += residue_numeric(f, h, m, spec.rank)
         out.append(
             {
                 "period": h,
@@ -748,14 +752,15 @@ def analyze(
         theorem2 = theorem2_check(spec)
         lemma8 = lemma8_diagnostic(spec)
         for h in sorted({r.period for r in members if r.period > 1}):
+            # the other coprime m are Galois conjugates of m = 1
+            base = residue_sum_check(spec, h, 1)
             for m in range(1, h):
                 if math.gcd(m, h) == 1:
                     pairs.append((h, m))
-        for h, m in pairs:
-            value = residue_sum_check(spec, h, m)
-            residue_entries.append(
-                {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
-            )
+                    value = base.conjugate(m)
+                    residue_entries.append(
+                        {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
+                    )
 
     return AnalysisReport(
         spec=spec,

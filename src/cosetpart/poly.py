@@ -114,13 +114,13 @@ class IntPolynomial:
         """True iff self divides other in Q[z] (equivalently, exactly)."""
         if self.is_zero():
             return other.is_zero()
-        _, rem = divmod_frac(other, self)
+        _, rem = divmod_frac(other.coeffs, self.coeffs)
         return not rem
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self/divisor; requires zero remainder and an
         integer quotient."""
-        quo, rem = divmod_frac(self, divisor)
+        quo, rem = divmod_frac(self.coeffs, divisor.coeffs)
         if rem:
             raise ValueError(f"{self} is not divisible by {divisor}")
         if any(c.denominator != 1 for c in quo):
@@ -148,23 +148,27 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def divmod_frac(num: IntPolynomial, den: IntPolynomial):
-    """Quotient and remainder in Q[z], as lists of Fractions."""
-    if den.is_zero():
+def divmod_frac(num, den):
+    """Quotient and remainder in Q[z] of coefficient sequences (constant
+    term first), as lists with trailing zeros dropped from the remainder.
+
+    Entries may be ints or Fractions.  Division by a monic divisor keeps
+    integer inputs integral; otherwise each quotient entry is a Fraction.
+    """
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in num.coeffs]
-    d = [Fraction(c) for c in den.coeffs]
-    dn = len(d)
-    if len(r) < dn:
-        return [], r
-    quo = [Fraction(0)] * (len(r) - dn + 1)
-    lead = d[-1]
+    dn = len(den)
+    r = list(num)
+    lead = den[-1]
+    quo = [0] * max(len(r) - dn + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
-        t = r[k + dn - 1] / lead
+        t = r[k + dn - 1]
+        if lead != 1:
+            t = Fraction(t, lead)
         quo[k] = t
         if t:
             for j in range(dn):
-                r[k + j] -= t * d[j]
+                r[k + j] -= t * den[j]
     while r and not r[-1]:
         r.pop()
     return quo, r

@@ -28,7 +28,8 @@ class InvalidLetter(ValueError):
 
 
 def check_rank(rank: int) -> None:
-    if not isinstance(rank, int) or rank < 1:
+    # bool is an int subclass, but true is not a rank
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
 
 

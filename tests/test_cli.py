@@ -174,6 +174,29 @@ def test_bad_json_reports_line_and_column(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_malformed_partition_is_exit_1(tmp_path, capsys):
+    sub = MOD2["members"][0]["subgroup"]
+    cases = [
+        ({"rank": 2, "members": [5]}, "member 1 must be an object"),
+        ({"rank": 2, "members": 5}, "'members' must be a list"),
+        ({"rank": True, "members": MOD2["members"]}, "got True"),
+        ({"rank": 2, "members": [{"subgroup": dict(sub, rank=True)}]}, "got True"),
+        ({"rank": 2, "members": [{"subgroup": sub, "coset_rep": 1}]}, "'coset_rep'"),
+        ({"rank": 2, "members": [{"subgroup": {"rank": 2, "generators": "ab"}}]}, "'generators'"),
+        ({"rank": 2, "members": [{"subgroup": {"rank": 2, "permutations": 5}}]}, "'permutations'"),
+    ]
+    for obj, message in cases:
+        rc = main(["analyze", write(tmp_path, "bad.json", obj)])
+        assert rc == 1, obj
+        assert message in capsys.readouterr().err, obj
+
+
+def test_bool_rank_subgroup_is_exit_1(tmp_path, capsys):
+    rc = main(["subgroup", write(tmp_path, "bad.json", dict(EX1, rank=True))])
+    assert rc == 1
+    assert "got True" in capsys.readouterr().err
+
+
 def test_z_file_validation(tmp_path, capsys):
     rc = main(["zanalyze", write(tmp_path, "zbad.json", {"moduli": [[2]]})])
     assert rc == 1

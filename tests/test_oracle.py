@@ -1,13 +1,35 @@
+import math
+
 import pytest
 
+from cosetpart.cyclo import (
+    NotAPole,
+    NotSimple,
+    eval_at_root,
+    pole_order,
+    residue_at,
+    residue_simple,
+)
 from cosetpart.oracle import (
     BudgetExceeded,
     count_by_enumeration,
+    eval_at_root_by_horner,
     partition_by_words,
     period_by_cycles,
+    pole_order_by_derivatives,
+    residue_by_horner,
 )
-from cosetpart.partition import GAP, IS_PARTITION, OVERLAP, PartitionSpec
-from cosetpart.ratfunc import genfunc, series_from_matrix
+from cosetpart.partition import (
+    GAP,
+    IS_PARTITION,
+    OVERLAP,
+    PartitionSpec,
+    member_genfunc,
+    member_periods,
+    residue_sum_check,
+    z_to_schreier,
+)
+from cosetpart.ratfunc import genfunc, rational, series_from_matrix
 from cosetpart.schreier import coset, from_permutations, subgroup_coset
 from cosetpart.spectral import period
 
@@ -64,3 +86,77 @@ def test_period_oracle_agrees(graph_family):
     for graph in graph_family.values():
         if graph.d <= 8:
             assert period_by_cycles(graph) == period(graph)
+
+
+def _check_residues_against_reference(spec, h):
+    """Compare the kernel with the Horner route at every zeta_h^m / n with
+    m coprime to h; returns the number of member residues compared."""
+    n = spec.rank
+    compared = 0
+    genfuncs = [member_genfunc(member) for member in spec.members]
+    for m in range(1, h):
+        if math.gcd(m, h) != 1:
+            continue
+        reference = 0
+        for f in genfuncs:
+            order = pole_order(f, h, m, n)
+            assert order == pole_order_by_derivatives(f, h, m, n), (h, m, f)
+            if order:
+                value = residue_by_horner(f, h, m, n)
+                assert residue_simple(f, h, m, n) == value, (h, m, f)
+                assert residue_at(f, h, 1, n).conjugate(m) == value, (h, m, f)
+                reference = value + reference
+                compared += 1
+        assert residue_sum_check(spec, h, m) == reference, (h, m)
+    return compared
+
+
+def test_evaluation_matches_reference(graph_family):
+    # every m, including those sharing a factor with h
+    for graph in graph_family.values():
+        n, h = graph.rank, period(graph)
+        for end in range(1, graph.d + 1):
+            f = genfunc(graph, 1, end)
+            for m in range(h + 1):
+                for p in (f.num, f.den, f.den.derivative()):
+                    assert eval_at_root(p, h, m, n) == eval_at_root_by_horner(p, h, m, n)
+                assert pole_order(f, h, m, n) == pole_order_by_derivatives(f, h, m, n)
+
+
+def test_residues_match_reference_on_corpus(corpus):
+    compared = 0
+    for key, spec in corpus.items():
+        for h in sorted({p for p in member_periods(spec) if p > 1}):
+            compared += _check_residues_against_reference(spec, h)
+    assert compared > 0
+
+
+def test_nonzero_residue_sums_match_reference(fig1_graph):
+    # neither family is a partition, so the sums do not vanish and the
+    # Galois conjugation acts on nonzero values
+    families = [
+        (PartitionSpec(2, (coset(fig1_graph, ()), coset(fig1_graph, (1,)))), 4),
+        (PartitionSpec(1, (z_to_schreier(5, 0)[1], z_to_schreier(5, 1)[1])), 5),
+    ]
+    for spec, h in families:
+        assert _check_residues_against_reference(spec, h) > 0
+        values = [residue_sum_check(spec, h, m) for m in range(1, h) if math.gcd(m, h) == 1]
+        assert all(not v.is_zero() for v in values)
+        assert len(set(values)) == len(values)
+
+
+def test_residue_errors_match_reference():
+    multiple = [
+        (rational([1], [1, -4, 4]), 1, 0, 2),  # (1 - 2z)^2
+        (rational([1], [1, 0, -8, 0, 16]), 2, 1, 2),  # (1 - 4z^2)^2
+    ]
+    for f, h, m, n in multiple:
+        assert pole_order(f, h, m, n) == pole_order_by_derivatives(f, h, m, n) == 2
+        for route in (residue_simple, residue_by_horner):
+            with pytest.raises(NotSimple):
+                route(f, h, m, n)
+    f = rational([1], [1, -2])
+    assert pole_order(f, 4, 1, 2) == pole_order_by_derivatives(f, 4, 1, 2) == 0
+    for route in (residue_simple, residue_by_horner):
+        with pytest.raises(NotAPole):
+            route(f, 4, 1, 2)

@@ -36,6 +36,12 @@ def test_reduce_rejects_out_of_range():
         reduce_word([-4], 3)
 
 
+def test_rank_must_be_a_positive_int():
+    for rank in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            reduce_word([], rank)
+
+
 def _raw_words(rank, max_len):
     letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
     for k in range(max_len + 1):
