@@ -117,11 +117,15 @@ def parse_partition_file(obj) -> PartitionSpec:
 def parse_z_file(obj) -> list[tuple[int, int]]:
     if not isinstance(obj, dict) or "moduli" not in obj:
         raise ValueError("Z-system file needs 'moduli': [[modulus, residue], ...]")
+    if not isinstance(obj["moduli"], list):
+        raise ValueError("'moduli' must be a list of [modulus, residue] pairs")
     out = []
     for i, pair in enumerate(obj["moduli"], start=1):
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"moduli entry {i} must be a [modulus, residue] pair")
-        out.append((int(pair[0]), int(pair[1])))
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
+            raise ValueError(f"moduli entry {i} must hold two integers, got {pair!r}")
+        out.append((pair[0], pair[1]))
     return out
 
 

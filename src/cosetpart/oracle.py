@@ -3,6 +3,9 @@
 Everything here enumerates: positive words one by one for counting,
 simple cycles for the period, reduced words for partition defects.  The
 budgets are hard caps with loud errors, never silent truncation.
+Generating functions are recomputed from cofactors: the numerator is a
+signed minor of I - zA, evaluated at integer points by fraction-free
+Bareiss elimination and interpolated.
 Residues at the scaled roots of unity are recomputed the direct way:
 Horner's rule in Q(zeta_h) at the point itself, with the pole order read
 off successive derivatives.
@@ -26,6 +29,7 @@ from .partition import (
 from .poly import IntPolynomial
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
+from .spectral import char_data, transition_matrix
 from .words import enumerate_positive, enumerate_reduced
 
 COUNT_MAX_DEPTH = 14
@@ -122,3 +126,84 @@ def residue_by_horner(f: RationalFunction, h: int, m: int, n: int) -> CycloNumbe
     if dprime.is_zero():
         raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
     return eval_at_root_by_horner(f.num, h, m, n) / dprime
+
+
+def lagrange_interpolate(values) -> IntPolynomial:
+    """The unique integer polynomial of degree < len(values) taking
+    values[t] at t = 0, 1, 2, ...; raises if it is not integral."""
+    pts = len(values)
+    acc = [Fraction(0)] * pts
+    for i, v in enumerate(values):
+        if v == 0:
+            continue
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(pts):
+            if j == i:
+                continue
+            # multiply basis by (z - j)
+            basis = [Fraction(0)] + basis
+            for k in range(len(basis) - 1):
+                basis[k] -= j * basis[k + 1]
+            denom *= i - j
+        scale = Fraction(v, denom)
+        for k, c in enumerate(basis):
+            acc[k] += scale * c
+    if any(c.denominator != 1 for c in acc):
+        raise ValueError("interpolated polynomial is not integral")
+    return IntPolynomial([int(c) for c in acc])
+
+
+def _det_int(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    m = [row[:] for row in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[size - 1][size - 1]
+
+
+def _minor_poly(matrix, drop_row: int, drop_col: int) -> IntPolynomial:
+    # det(I - zA : drop_row, drop_col) via evaluation at z = 0..d-1 and
+    # Lagrange interpolation (degree <= d-1)
+    d = len(matrix)
+    rows = [i for i in range(d) if i != drop_row]
+    cols = [j for j in range(d) if j != drop_col]
+    values = []
+    for t in range(d):
+        m = [
+            [(1 if i == j else 0) - t * matrix[i][j] for j in cols]
+            for i in rows
+        ]
+        values.append(_det_int(m))
+    return lagrange_interpolate(values)
+
+
+def genfunc_by_cofactors(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
+    """(-1)^(start+end) det(I - zA : end, start) / det(I - zA), where
+    (B : f, i) removes row f and column i, in normal form."""
+    d = graph.d
+    if not (1 <= start <= d and 1 <= end <= d):
+        raise ValueError(f"start/end must lie in 1..{d}")
+    matrix = transition_matrix(graph)
+    den = char_data(matrix).reciprocal_charpoly
+    minor = _minor_poly(matrix, end - 1, start - 1)
+    sign = -1 if (start + end) % 2 else 1
+    return RationalFunction(minor * sign, den)

@@ -3,7 +3,7 @@
 Coefficients are stored constant term first with no trailing zeros, so
 equality of values is equality of tuples.  Everything here is exact:
 gcds run a content-and-primitive-part Euclid over the integers, and
-interpolation goes through Fractions and checks integrality at the end.
+division goes through Fractions only when the divisor is not monic.
 """
 
 from __future__ import annotations
@@ -219,29 +219,3 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         a, b = b, r
     a = a * c
     return a if a.coeffs[-1] > 0 else -a
-
-
-def lagrange_interpolate(values) -> IntPolynomial:
-    """The unique integer polynomial of degree < len(values) taking
-    values[t] at t = 0, 1, 2, ...; raises if it is not integral."""
-    pts = len(values)
-    acc = [Fraction(0)] * pts
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(pts):
-            if j == i:
-                continue
-            # multiply basis by (z - j)
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= j * basis[k + 1]
-            denom *= i - j
-        scale = Fraction(v, denom)
-        for k, c in enumerate(basis):
-            acc[k] += scale * c
-    if any(c.denominator != 1 for c in acc):
-        raise ValueError("interpolated polynomial is not integral")
-    return IntPolynomial([int(c) for c in acc])

@@ -1,16 +1,14 @@
 """Exact rational functions and generating functions of Schreier automata.
 
 A generating function p(z) = sum a_k z^k counts accepted positive words
-by length.  For start vertex i and end vertex f it equals
-
-    (-1)^(i+f) det(I - zA : f, i) / det(I - zA)
-
-where (B : f, i) removes row f and column i.  The minor determinant is
-computed exactly by evaluating at integer points (fraction-free Bareiss)
-and interpolating; the denominator comes from the Faddeev-LeVerrier
-characteristic data.  series_from_matrix provides the independent route
-through exact matrix powers, a_k = (A^k)_{if}; the two must agree, which
-also pins the cofactor sign.
+by length; for start vertex i and end vertex f, a_k = (A^k)_{if}.  So
+p = N/q with q(z) = det(I - zA), which has q(0) = 1 and comes from the
+spectral layer, and N a signed minor of I - zA, of degree < d.  N is
+therefore the product q * s truncated below z^d, where s holds the walk
+counts a_0..a_{d-1}; these take d - 1 sparse vector steps along the
+generator permutations.  series_from_matrix is the independent route
+through exact matrix powers, and oracle.genfunc_by_cofactors recomputes
+N as the minor itself; both must agree with genfunc.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import IntPolynomial, lagrange_interpolate, poly_gcd
+from .poly import IntPolynomial, poly_gcd
 from .schreier import SchreierGraph
 from .spectral import char_data, transition_matrix
 
@@ -59,11 +57,15 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
         return RationalFunction(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
@@ -103,49 +105,30 @@ def geometric(n: int) -> RationalFunction:
     return rational([1], [1, -n])
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
+# The bound keeps a long-running process from growing without limit; an
+# analysis of up to this many members never evicts one of its own.
+GENFUNC_CACHE_SIZE = 2048
 
 
-def _minor_poly(matrix, drop_row: int, drop_col: int) -> IntPolynomial:
-    # det(I - zA : drop_row, drop_col) via evaluation at z = 0..d-1 and
-    # Lagrange interpolation (degree <= d-1)
-    d = len(matrix)
-    rows = [i for i in range(d) if i != drop_row]
-    cols = [j for j in range(d) if j != drop_col]
-    values = []
-    for t in range(d):
-        m = [
-            [(1 if i == j else 0) - t * matrix[i][j] for j in cols]
-            for i in rows
-        ]
-        values.append(_det_int(m))
-    return lagrange_interpolate(values)
+def _walk_counts(graph: SchreierGraph, start: int, end: int, depth: int) -> list[int]:
+    # s_k = (e_start A^k)_end for k = 0..depth, one sparse vector step per
+    # k: each letter carries the count at v to perm[v]
+    d = graph.d
+    vec = [0] * d
+    vec[start - 1] = 1
+    out = [1 if start == end else 0]
+    for _ in range(depth):
+        nxt = [0] * d
+        for perm in graph.action:
+            for v, count in enumerate(vec):
+                if count:
+                    nxt[perm[v] - 1] += count
+        vec = nxt
+        out.append(vec[end - 1])
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENFUNC_CACHE_SIZE)
 def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
     """Generating function of the automaton with the given start and end
     vertices, in normal form.  Coefficient k counts the positive words of
@@ -153,11 +136,14 @@ def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
     d = graph.d
     if not (1 <= start <= d and 1 <= end <= d):
         raise ValueError(f"start/end must lie in 1..{d}")
-    matrix = transition_matrix(graph)
-    den = char_data(matrix).reciprocal_charpoly
-    minor = _minor_poly(matrix, end - 1, start - 1)
-    sign = -1 if (start + end) % 2 else 1
-    return RationalFunction(minor * sign, den)
+    q = char_data(transition_matrix(graph)).reciprocal_charpoly
+    s = _walk_counts(graph, start, end, d - 1)
+    # p = N/q with deg N < d, so N is (q * s) truncated below z^d
+    num = [
+        sum(c * s[k - j] for j, c in enumerate(q.coeffs[: k + 1]))
+        for k in range(d)
+    ]
+    return RationalFunction(IntPolynomial(num), q)
 
 
 def series_from_matrix(

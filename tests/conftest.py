@@ -5,10 +5,13 @@ partition per (rank, depth, seed) combination with ranks 1..3 and depths
 0..3, all valid by construction.
 """
 
+import random
+
 import pytest
 
 from cosetpart.partition import PartitionSpec, generate_partition, _kernel_graph
-from cosetpart.schreier import coset, from_permutations, subgroup_coset
+from cosetpart.schreier import NotTransitive, coset, from_permutations, subgroup_coset
+from cosetpart.spectral import period
 
 CORPUS_KEYS = [
     (rank, depth, seed)
@@ -66,3 +69,30 @@ def graph_family(fig1_graph, mod2_graph, s3_kernel_graph):
         "cycle5_z": z_to_schreier(5, 0)[0],
         "mod4_f3": from_permutations(3, [(2, 3, 4, 1), (2, 3, 4, 1), (2, 3, 4, 1)]),
     }
+
+
+def _random_graph(d: int, seed: int, want_period: int = 1):
+    """The first transitive pair of permutations of 1..d drawn from the seed
+    whose transition matrix has the wanted period (1 or 2).  For period 2
+    every letter swaps the halves 1..d/2 and d/2+1..d."""
+    rng = random.Random(seed)
+    half = d // 2
+    while True:
+        if want_period == 2:
+            low, high = list(range(1, half + 1)), list(range(half + 1, d + 1))
+            perms = [rng.sample(high, half) + rng.sample(low, half) for _ in range(2)]
+        else:
+            perms = [rng.sample(range(1, d + 1), d) for _ in range(2)]
+        try:
+            graph = from_permutations(2, perms)
+        except NotTransitive:
+            continue
+        if period(graph) == want_period:
+            return graph
+
+
+@pytest.fixture(scope="session")
+def random_graph():
+    """random_graph(d, seed, want_period=1): a fixed-seed index-d subgroup
+    of F_2 (see _random_graph)."""
+    return _random_graph

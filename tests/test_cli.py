@@ -198,8 +198,18 @@ def test_bool_rank_subgroup_is_exit_1(tmp_path, capsys):
 
 
 def test_z_file_validation(tmp_path, capsys):
-    rc = main(["zanalyze", write(tmp_path, "zbad.json", {"moduli": [[2]]})])
-    assert rc == 1
+    cases = [
+        ({"moduli": [[2]]}, "entry 1 must be a [modulus, residue] pair"),
+        ({"moduli": [5]}, "entry 1 must be a [modulus, residue] pair"),
+        ({"moduli": 5}, "'moduli' must be a list"),
+        ({"moduli": [[2, 0], [2.5, 0]]}, "entry 2 must hold two integers"),
+        ({"moduli": [[2, 0], [2, True]]}, "entry 2 must hold two integers"),
+        ({"moduli": [["2", 0]]}, "entry 1 must hold two integers"),
+    ]
+    for obj, message in cases:
+        rc = main(["zanalyze", write(tmp_path, "zbad.json", obj)])
+        assert rc == 1, obj
+        assert message in capsys.readouterr().err, obj
 
 
 def test_serialized_values_roundtrip():

@@ -14,6 +14,7 @@ from cosetpart.oracle import (
     BudgetExceeded,
     count_by_enumeration,
     eval_at_root_by_horner,
+    genfunc_by_cofactors,
     partition_by_words,
     period_by_cycles,
     pole_order_by_derivatives,
@@ -80,6 +81,29 @@ def test_counts_match_fast_paths(graph_family):
             counts = count_by_enumeration(coset(graph, reps[end - 1]), depth)
             assert counts == genfunc(graph, 1, end).series(depth)
             assert counts == series_from_matrix(graph, 1, end, depth)
+
+
+def test_genfunc_matches_cofactors_on_zoo(graph_family):
+    for graph in graph_family.values():
+        for start in range(1, graph.d + 1):
+            for end in range(1, graph.d + 1):
+                assert genfunc(graph, start, end) == genfunc_by_cofactors(graph, start, end)
+
+
+@pytest.mark.parametrize("d, seed, want_period", [(8, 1, 1), (16, 2, 2), (24, 3, 1)])
+def test_genfunc_matches_cofactors_on_random_graphs(random_graph, d, seed, want_period):
+    graph = random_graph(d, seed, want_period)
+    for start in range(1, d + 1):
+        for end in range(1, d + 1):
+            f = genfunc(graph, start, end)
+            # the numerator is built from a_0..a_{d-1}; the terms up to 2d
+            # check the denominator as well
+            assert f.series(2 * d) == series_from_matrix(graph, start, end, 2 * d)
+            # at d = 24 every pair would take about 25 s of Bareiss minors
+            # and interpolation, so there one row and one column are
+            # compared; they cover both parities of the cofactor sign
+            if d < 24 or start == 1 or end == d:
+                assert f == genfunc_by_cofactors(graph, start, end), (start, end)
 
 
 def test_period_oracle_agrees(graph_family):

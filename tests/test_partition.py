@@ -331,6 +331,18 @@ def test_analyze_on_partition(mod2_partition):
     assert report.oracle["all_agree"]
 
 
+@pytest.mark.parametrize("d, seed, want_period", [(48, 1, 1), (40, 1, 2)])
+def test_analyze_large_transversal_partition(random_graph, d, seed, want_period):
+    spec = transversal_partition(random_graph(d, seed, want_period))
+    report = analyze(spec)
+    assert report.verdict.status == IS_PARTITION
+    assert report.sum_identity_holds and report.sum_residual.is_zero()
+    assert report.coefficient_identity_holds
+    assert [e["period"] for e in report.residue_sums] == [2] * (want_period == 2)
+    assert all(e["is_zero"] for e in report.residue_sums)
+    assert report.all_checks_pass
+
+
 def test_analyze_on_defective_family(mod2_graph):
     dup = PartitionSpec(2, (subgroup_coset(mod2_graph), subgroup_coset(mod2_graph)))
     report = analyze(dup, series_depth=6)

@@ -1,6 +1,7 @@
 import pytest
 
-from cosetpart.poly import IntPolynomial, lagrange_interpolate, poly_gcd
+from cosetpart.oracle import lagrange_interpolate
+from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
     RationalFunction,
@@ -87,7 +88,6 @@ def test_series_from_matrix_examples(fig1_graph, mod2_graph):
 
 
 def test_genfunc_equals_matrix_powers_everywhere(graph_family):
-    # the equality also pins the cofactor sign (-1)^(start+end)
     for graph in graph_family.values():
         for start in range(1, graph.d + 1):
             for end in range(1, graph.d + 1):
@@ -134,6 +134,11 @@ def test_numerator_degree_below_zero_multiplicity_bound(graph_family):
         for end in range(1, graph.d + 1):
             f = genfunc(graph, 1, end)
             assert f.num.degree - f.den.degree < cd.zero_multiplicity
+
+
+def test_caches_are_bounded():
+    for cached in (genfunc, char_data):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_genfunc_rejects_bad_vertices(fig1_graph):
