@@ -20,12 +20,12 @@ import sys
 
 from . import formats, oracle
 from .partition import (
+    _davenport_rado_clauses,
+    _theorem1_clauses,
+    _theorem2_clauses,
     analyze,
-    davenport_rado_check,
     generate_partition,
     member_periods,
-    theorem1_check,
-    theorem2_check,
     verify_partition,
     z_lift,
     z_verify,
@@ -193,7 +193,8 @@ def cmd_zanalyze(args) -> int:
         print("NOT A PARTITION", file=sys.stderr)
         return 2
 
-    dr = davenport_rado_check(classes)
+    # verified above: the clause builders take the moduli and periods directly
+    dr = _davenport_rado_clauses([d for d, _ in classes])
     report["davenport_rado"] = dr
     if dr["applicable"]:
         print(
@@ -211,8 +212,8 @@ def cmd_zanalyze(args) -> int:
     lifted = z_lift(classes)
     lifted_verdict = verify_partition(lifted)
     periods = member_periods(lifted)
-    t1 = theorem1_check(lifted)
-    t2 = theorem2_check(lifted)
+    t1 = _theorem1_clauses(periods)
+    t2 = _theorem2_clauses(periods, [m.graph.d for m in lifted.members])
     agreement = {
         "verdict_matches": lifted_verdict.status == verdict.status,
         "periods_equal_moduli": periods == [d for d, _ in classes],

@@ -1,8 +1,9 @@
 """Brute-force ground truth for cross-validating every fast path.
 
 Everything here enumerates: positive words one by one for counting,
-simple cycles for the period, reduced words for partition defects.  The
-budgets are hard caps with loud errors, never silent truncation.
+simple cycles by depth-first search for the period, reduced words for
+partition defects.  The budgets are hard caps with loud errors, never
+silent truncation.
 Generating functions are recomputed from cofactors: the numerator is a
 signed minor of I - zA, evaluated at integer points by fraction-free
 Bareiss elimination and interpolated.
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import networkx as nx
 
 from .cyclo import CycloNumber, NotAPole, NotSimple
 from .partition import (
@@ -60,14 +59,24 @@ def period_by_cycles(graph: SchreierGraph) -> int:
     exhaustively.  Equals the matrix period on strongly connected graphs."""
     if graph.d > CYCLES_MAX_VERTICES:
         raise BudgetExceeded(f"{graph.d} vertices exceed cap {CYCLES_MAX_VERTICES}")
-    dig = nx.DiGraph()
-    dig.add_nodes_from(range(1, graph.d + 1))
-    for perm in graph.action:
-        for v, w in enumerate(perm, start=1):
-            dig.add_edge(v, w)
+    succ = {
+        v: sorted({perm[v - 1] for perm in graph.action}) for v in range(1, graph.d + 1)
+    }
     g = 0
-    for cycle in nx.simple_cycles(dig):
-        g = math.gcd(g, len(cycle))
+
+    def extend(root: int, v: int, length: int, on_path: set[int]) -> None:
+        # each simple cycle is walked once, from its least vertex root
+        nonlocal g
+        for w in succ[v]:
+            if w == root:
+                g = math.gcd(g, length)
+            elif w > root and w not in on_path:
+                on_path.add(w)
+                extend(root, w, length + 1, on_path)
+                on_path.remove(w)
+
+    for root in succ:
+        extend(root, root, 1, {root})
     return g
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -96,29 +97,48 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     The orbit of the basepoint tuple under the componentwise permutation
     actions is finite and every group element realises exactly the tuples
     in it (letter actions are bijections, so the monoid orbit equals the
-    group orbit).  Witness words are shortest, ties broken shortlex.
+    group orbit).  Each tuple records only its BFS parent and the letter
+    leading from it, so the walk takes time and memory linear in the orbit
+    size times the number of members; a witness word is read back along
+    the parent pointers only when a defect is found.  Witness words are
+    shortest, ties broken shortlex.
     """
     members = spec.members
-    accepts = tuple(m.vertex for m in members)
-    actions = tuple(m.graph.action for m in members)
-    start = tuple(m.graph.basepoint for m in members)
-    label: dict[tuple[int, ...], Word] = {start: ()}
+    # 0-based vertices throughout; rows[a][i] is letter a + 1 acting on member i
+    accepts = tuple(m.vertex - 1 for m in members)
+    rows = tuple(
+        tuple(tuple(v - 1 for v in m.graph.action[a]) for m in members)
+        for a in range(spec.rank)
+    )
+    start = tuple(m.graph.basepoint - 1 for m in members)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
     while queue:
         tup = queue.popleft()
-        hits = [i for i, (v, acc) in enumerate(zip(tup, accepts), start=1) if v == acc]
-        if not hits:
-            return PartitionVerdict(GAP, witness=label[tup])
-        if len(hits) > 1:
+        if sum(map(operator.eq, tup, accepts)) != 1:
+            hits = [i for i, v in enumerate(tup, start=1) if v == accepts[i - 1]]
+            witness = _orbit_word(parent, tup)
+            if not hits:
+                return PartitionVerdict(GAP, witness=witness)
             return PartitionVerdict(
-                OVERLAP, witness=label[tup], overlap_indices=(hits[0], hits[1])
+                OVERLAP, witness=witness, overlap_indices=(hits[0], hits[1])
             )
-        for a in range(spec.rank):
-            nxt = tuple(actions[i][a][tup[i] - 1] for i in range(len(members)))
-            if nxt not in label:
-                label[nxt] = label[tup] + (a + 1,)
+        for letter, row in enumerate(rows, start=1):
+            nxt = tuple(map(tuple.__getitem__, row, tup))
+            if nxt not in parent:
+                parent[nxt] = (tup, letter)
                 queue.append(nxt)
     return PartitionVerdict(IS_PARTITION)
+
+
+def _orbit_word(parent: dict, tup: tuple[int, ...]) -> Word:
+    """The BFS word reaching tup: its letters read back along the parent
+    pointers, then reversed."""
+    letters = []
+    while (link := parent[tup]) is not None:
+        tup, letter = link
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 def _require_partition(spec: PartitionSpec) -> None:
@@ -175,7 +195,11 @@ def theorem1_check(spec: PartitionSpec) -> dict:
     (iii) every period divides (or equals) some other member's period.
     """
     _require_partition(spec)
-    periods = member_periods(spec)
+    return _theorem1_clauses(member_periods(spec))
+
+
+def _theorem1_clauses(periods: list[int]) -> dict:
+    """theorem1_check on the member periods of a verified partition."""
     s = len(periods)
     hmax = max(periods)
 
@@ -242,9 +266,12 @@ def theorem2_check(spec: PartitionSpec) -> dict:
     a witness and all attainers are reported.
     """
     _require_partition(spec)
-    periods = member_periods(spec)
-    indices = [m.graph.d for m in spec.members]
+    return _theorem2_clauses(member_periods(spec), [m.graph.d for m in spec.members])
 
+
+def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
+    """theorem2_check on the member periods and indices of a verified
+    partition."""
     dmax = max(indices)
     attain = [i for i, d in enumerate(indices, start=1) if d == dmax]
     # the theorem assumes every index exceeds 1; a member of index 1 is the
@@ -336,9 +363,13 @@ def lemma8_diagnostic(spec: PartitionSpec) -> dict:
     equal the member's period, assert the index equality d_j = d_k that
     the theory predicts for such pairs."""
     _require_partition(spec)
-    dens = [member_genfunc(m).den for m in spec.members]
-    summaries = [char_data(transition_matrix(m.graph)) for m in spec.members]
-    s = len(spec.members)
+    return _lemma8_clauses([_member_report(m) for m in spec.members])
+
+
+def _lemma8_clauses(reports: list[MemberReport]) -> dict:
+    """lemma8_diagnostic on the member reports of a verified partition."""
+    dens = [r.genfunc.den for r in reports]
+    s = len(reports)
     entries = []
     for j, k in itertools.combinations(range(s), 2):
         shared = poly_gcd(dens[j], dens[k])
@@ -353,9 +384,9 @@ def lemma8_diagnostic(spec: PartitionSpec) -> dict:
                 break
         if exclusive.degree < 1:
             continue
-        n0j, n0k = summaries[j].zero_multiplicity, summaries[k].zero_multiplicity
-        hj, hk = summaries[j].period, summaries[k].period
-        dj, dk = spec.members[j].graph.d, spec.members[k].graph.d
+        n0j, n0k = reports[j].zero_multiplicity, reports[k].zero_multiplicity
+        hj, hk = reports[j].period, reports[k].period
+        dj, dk = reports[j].index, reports[k].index
         hypothesis = (n0j == 0 and n0k == 0) or (n0j == hj and n0k == hk)
         entries.append(
             {
@@ -387,10 +418,22 @@ def normalize_z_classes(classes) -> tuple[tuple[int, int], ...]:
 
 
 def z_verify(classes) -> PartitionVerdict:
-    """Exact check that residue classes {d_i Z + r_i} partition Z, over the
-    residues mod lcm(d_i); the witness is the smallest violating integer."""
+    """Exact check that residue classes {d_i Z + r_i} partition Z.
+
+    Certificate, O(s^2) in the number of classes: the classes are pairwise
+    disjoint (r_i and r_j differ mod gcd(d_i, d_j)) and their densities
+    sum to 1 (sum_i L/d_i = L for L = lcm(d_i)), so mod L they cover L
+    distinct residues, i.e. all of them.  Only when the certificate fails
+    are the residues mod L scanned, to return the smallest violating
+    integer as the witness.
+    """
     classes = normalize_z_classes(classes)
     lcm = math.lcm(*(d for d, _ in classes))
+    if sum(lcm // d for d, _ in classes) == lcm and all(
+        (r - r2) % math.gcd(d, d2)
+        for (d, r), (d2, r2) in itertools.combinations(classes, 2)
+    ):
+        return PartitionVerdict(IS_PARTITION)
     for x in range(lcm):
         covering = [i for i, (d, r) in enumerate(classes, start=1) if x % d == r]
         if not covering:
@@ -399,7 +442,7 @@ def z_verify(classes) -> PartitionVerdict:
             return PartitionVerdict(
                 OVERLAP, witness=x, overlap_indices=(covering[0], covering[1])
             )
-    return PartitionVerdict(IS_PARTITION)
+    raise AssertionError("residue scan found no defect the certificate missed")
 
 
 def z_to_schreier(d: int, r: int) -> tuple[SchreierGraph, Coset]:
@@ -427,7 +470,11 @@ def davenport_rado_check(classes) -> dict:
     verdict = z_verify(classes)
     if not verdict.ok:
         raise NotAPartition(verdict)
-    moduli = [d for d, _ in classes]
+    return _davenport_rado_clauses([d for d, _ in classes])
+
+
+def _davenport_rado_clauses(moduli: list[int]) -> dict:
+    """davenport_rado_check on the moduli of a verified covering system."""
     dmax = max(moduli)
     if dmax == 1:
         return {
@@ -648,6 +695,19 @@ class AnalysisReport:
         return core
 
 
+def _member_report(member: Coset) -> MemberReport:
+    summary = char_data(transition_matrix(member.graph))
+    return MemberReport(
+        index=member.graph.d,
+        period=summary.period,
+        zero_multiplicity=summary.zero_multiplicity,
+        reciprocal_charpoly=summary.reciprocal_charpoly,
+        genfunc=member_genfunc(member),
+        vertex=member.vertex,
+        rep=member.rep,
+    )
+
+
 def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
     from . import oracle as _oracle  # local: oracle imports this module
 
@@ -726,20 +786,7 @@ def analyze(
     genuine partitions and are skipped (None) otherwise.
     """
     verdict = verify_partition(spec)
-    members = []
-    for member in spec.members:
-        summary = char_data(transition_matrix(member.graph))
-        members.append(
-            MemberReport(
-                index=member.graph.d,
-                period=summary.period,
-                zero_multiplicity=summary.zero_multiplicity,
-                reciprocal_charpoly=summary.reciprocal_charpoly,
-                genfunc=member_genfunc(member),
-                vertex=member.vertex,
-                rep=member.rep,
-            )
-        )
+    members = [_member_report(member) for member in spec.members]
 
     sum_ok, residual = check_sum_identity(spec)
     coeff_ok = check_coefficient_identity(spec, series_depth)
@@ -748,10 +795,11 @@ def analyze(
     residue_entries: list[dict] = []
     pairs: list[tuple[int, int]] = []
     if verdict.ok:
-        theorem1 = theorem1_check(spec)
-        theorem2 = theorem2_check(spec)
-        lemma8 = lemma8_diagnostic(spec)
-        for h in sorted({r.period for r in members if r.period > 1}):
+        periods = [r.period for r in members]
+        theorem1 = _theorem1_clauses(periods)
+        theorem2 = _theorem2_clauses(periods, [r.index for r in members])
+        lemma8 = _lemma8_clauses(members)
+        for h in sorted({p for p in periods if p > 1}):
             # the other coprime m are Galois conjugates of m = 1
             base = residue_sum_check(spec, h, 1)
             for m in range(1, h):

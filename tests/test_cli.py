@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from cosetpart import formats
+from cosetpart import formats, partition
 from cosetpart.cli import main
 from cosetpart.partition import PartitionSpec, generate_partition
 from cosetpart.schreier import coset, from_permutations, subgroup_coset
@@ -222,3 +226,44 @@ def test_serialized_values_roundtrip():
     assert formats.ratfunc_from_json(formats.ratfunc_to_json(f)) == f
     x = CycloNumber(4, [Fraction(1, 4), Fraction(-3, 2)])
     assert formats.cyclo_from_json(formats.cyclo_to_json(x)) == x
+
+
+def test_cli_import_leaves_out_networkx():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, cosetpart.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of a partition function, whether made through the module
+    or through the name the CLI imported."""
+    from cosetpart import cli
+
+    calls = []
+    original = getattr(partition, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(partition, name, counted)
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_each_route_verifies_once(tmp_path, monkeypatch):
+    verifies = count_calls(monkeypatch, "verify_partition")
+    z_verifies = count_calls(monkeypatch, "z_verify")
+    spec = generate_partition(2, 3, 1)
+    path = write(tmp_path, "p.json", formats.partition_spec_to_json(spec))
+    assert main(["analyze", path]) == 0
+    assert len(verifies) == 1
+    verifies.clear()
+    zpath = write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})
+    assert main(["zanalyze", zpath]) == 0
+    assert (len(verifies), len(z_verifies)) == (1, 1)

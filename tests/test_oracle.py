@@ -112,6 +112,14 @@ def test_period_oracle_agrees(graph_family):
             assert period_by_cycles(graph) == period(graph)
 
 
+def test_period_by_cycles_on_random_graphs(random_graph):
+    for d in (4, 6, 8):
+        for seed in range(1, 6):
+            for want in (1, 2):
+                graph = random_graph(d, seed, want)
+                assert period_by_cycles(graph) == period(graph) == want
+
+
 def _check_residues_against_reference(spec, h):
     """Compare the kernel with the Horner route at every zeta_h^m / n with
     m coprime to h; returns the number of member residues compared."""
