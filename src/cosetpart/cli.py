@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import formats, oracle
+from . import formats
 from .partition import (
     _davenport_rado_clauses,
     _theorem1_clauses,
@@ -92,6 +92,8 @@ def cmd_subgroup(args) -> int:
 
     failed = False
     if args.oracle:
+        from . import oracle  # local: only --oracle needs the brute-force routes
+
         depth = min(8, args.series_depth)
         counts_ok = all(
             oracle.count_by_enumeration(coset(graph, reps[f - 1]), depth)

@@ -14,9 +14,10 @@ period that does not properly divide another, and every period divides
 some other member's period; the residues of the members' generating
 functions at each scaled root of unity sum to zero; and when the
 largest-index member attains its period as index, the largest index
-repeats.  The classical covering systems of the integers are the rank-1
-specialization, handled both directly (z_verify) and through the general
-machinery (z_to_schreier).
+repeats.  The identities and lemma 8 run once per distinct Schreier graph
+or denominator, not per member.  The covering systems of the integers are
+the rank-1 specialization, handled both directly (z_verify) and through
+the general machinery (z_to_schreier).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycloNumber, pole_multiplicity, residue_at, residue_numeric
 from .poly import IntPolynomial, poly_gcd
-from .ratfunc import ZERO, RationalFunction, genfunc, geometric, series_from_matrix
+from .ratfunc import ZERO, RationalFunction, genfunc, walk_counts
 from .schreier import (
     Coset,
     SchreierGraph,
@@ -152,26 +153,25 @@ def member_genfunc(member: Coset) -> RationalFunction:
 
 
 def check_sum_identity(spec: PartitionSpec) -> tuple[bool, RationalFunction]:
-    """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual too."""
-    total = ZERO
-    for member in spec.members:
-        total = total + member_genfunc(member)
-    residual = total - geometric(spec.rank)
+    """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual too.
+    Numerators over one denominator are added before one normalisation."""
+    nums = {IntPolynomial([1, -spec.rank]): IntPolynomial([-1])}  # -1/(1-nz)
+    for f in map(member_genfunc, spec.members):
+        nums[f.den] = nums.get(f.den, ZERO.num) + f.num
+    residual = sum((RationalFunction(num, den) for den, num in nums.items()), ZERO)
     return residual.is_zero(), residual
 
 
 def check_coefficient_identity(spec: PartitionSpec, depth: int) -> bool:
-    """sum_i a_{i,k} = n^k for all k <= depth, from exact matrix powers."""
+    """sum_i a_{i,k} = n^k for all k <= depth, from one sparse walk of depth
+    steps per distinct Schreier graph, out of the basepoint its members share."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    totals = [0] * (depth + 1)
+    ends: dict[SchreierGraph, list[int]] = {}
     for member in spec.members:
-        counts = series_from_matrix(
-            member.graph, member.graph.basepoint, member.vertex, depth
-        )
-        for k, c in enumerate(counts):
-            totals[k] += c
-    return all(totals[k] == spec.rank**k for k in range(depth + 1))
+        ends.setdefault(member.graph, []).append(member.vertex)
+    counts = [walk_counts(g, g.basepoint, vs, depth) for g, vs in ends.items()]
+    return list(map(sum, zip(*counts))) == [spec.rank**k for k in range(depth + 1)]
 
 
 def member_periods(spec: PartitionSpec) -> list[int]:
@@ -349,11 +349,10 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     return total.conjugate(m)
 
 
-def _strip_common_factors(g: IntPolynomial, other: IntPolynomial) -> IntPolynomial:
-    common = poly_gcd(g, other)
-    while common.degree >= 1:
-        g = g.exact_div(common)
-        common = poly_gcd(g, other)
+def _strip_common_factors(g: IntPolynomial, others) -> IntPolynomial:
+    for other in others:
+        while g.degree >= 1 and (common := poly_gcd(g, other)).degree >= 1:
+            g = g.exact_div(common)
     return g
 
 
@@ -367,23 +366,22 @@ def lemma8_diagnostic(spec: PartitionSpec) -> dict:
 
 
 def _lemma8_clauses(reports: list[MemberReport]) -> dict:
-    """lemma8_diagnostic on the member reports of a verified partition."""
-    dens = [r.genfunc.den for r in reports]
-    s = len(reports)
+    """lemma8_diagnostic on the member reports of a verified partition.  A
+    factor exclusive to {j, k} divides no third member's denominator, so only
+    denominators held by j and k alone (one shared, or one each) need gcds."""
+    holders: dict[IntPolynomial, list[int]] = {}
+    for i, r in enumerate(reports):
+        holders.setdefault(r.genfunc.den, []).append(i)
     entries = []
-    for j, k in itertools.combinations(range(s), 2):
-        shared = poly_gcd(dens[j], dens[k])
-        if shared.degree < 1:
+    for (den_j, js), (den_k, ks) in itertools.combinations_with_replacement(
+        holders.items(), 2
+    ):
+        if len(pair := sorted({*js, *ks})) != 2:
             continue
-        exclusive = shared
-        for l in range(s):
-            if l in (j, k):
-                continue
-            exclusive = _strip_common_factors(exclusive, dens[l])
-            if exclusive.degree < 1:
-                break
-        if exclusive.degree < 1:
+        shared = poly_gcd(den_j, den_k)
+        if _strip_common_factors(shared, holders.keys() - {den_j, den_k}).degree < 1:
             continue
+        j, k = pair
         n0j, n0k = reports[j].zero_multiplicity, reports[k].zero_multiplicity
         hj, hk = reports[j].period, reports[k].period
         dj, dk = reports[j].index, reports[k].index
@@ -399,6 +397,7 @@ def _lemma8_clauses(reports: list[MemberReport]) -> dict:
                 "ok": (dj == dk) if hypothesis else True,
             }
         )
+    entries.sort(key=operator.itemgetter("pair"))
     return {"entries": entries, "all_pass": all(e["ok"] for e in entries)}
 
 

@@ -13,6 +13,7 @@ N as the minor itself; both must agree with genfunc.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,13 +111,18 @@ def geometric(n: int) -> RationalFunction:
 GENFUNC_CACHE_SIZE = 2048
 
 
-def _walk_counts(graph: SchreierGraph, start: int, end: int, depth: int) -> list[int]:
-    # s_k = (e_start A^k)_end for k = 0..depth, one sparse vector step per
-    # k: each letter carries the count at v to perm[v]
+def walk_counts(
+    graph: SchreierGraph, start: int, ends: Iterable[int], depth: int
+) -> list[int]:
+    """s_k = sum over end in ends of (e_start A^k)_end for k = 0..depth:
+    the positive words of length k leading from start to any of the ends,
+    an end listed twice counting twice.  One sparse vector step per k: each
+    letter carries the count at v to perm[v]."""
     d = graph.d
     vec = [0] * d
     vec[start - 1] = 1
-    out = [1 if start == end else 0]
+    ends = [end - 1 for end in ends]
+    out = [sum(vec[e] for e in ends)]
     for _ in range(depth):
         nxt = [0] * d
         for perm in graph.action:
@@ -124,7 +130,7 @@ def _walk_counts(graph: SchreierGraph, start: int, end: int, depth: int) -> list
                 if count:
                     nxt[perm[v] - 1] += count
         vec = nxt
-        out.append(vec[end - 1])
+        out.append(sum(vec[e] for e in ends))
     return out
 
 
@@ -137,7 +143,7 @@ def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
     if not (1 <= start <= d and 1 <= end <= d):
         raise ValueError(f"start/end must lie in 1..{d}")
     q = char_data(transition_matrix(graph)).reciprocal_charpoly
-    s = _walk_counts(graph, start, end, d - 1)
+    s = walk_counts(graph, start, (end,), d - 1)
     # p = N/q with deg N < d, so N is (q * s) truncated below z^d
     num = [
         sum(c * s[k - j] for j, c in enumerate(q.coeffs[: k + 1]))

@@ -96,3 +96,21 @@ def random_graph():
     """random_graph(d, seed, want_period=1): a fixed-seed index-d subgroup
     of F_2 (see _random_graph)."""
     return _random_graph
+
+
+def _mutants(members):
+    """The family with one member dropped, and with one member duplicated,
+    for every member."""
+    out = []
+    for i in range(len(members)):
+        if len(members) > 1:
+            out.append(members[:i] + members[i + 1 :])
+        out.append(members[: i + 1] + members[i:])
+    return out
+
+
+@pytest.fixture(scope="session")
+def mutants():
+    """mutants(members): every drop-one and duplicate-one variant of a
+    family of members or classes (see _mutants)."""
+    return _mutants

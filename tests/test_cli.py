@@ -228,15 +228,25 @@ def test_serialized_values_roundtrip():
     assert formats.cyclo_from_json(formats.cyclo_to_json(x)) == x
 
 
-def test_cli_import_leaves_out_networkx():
+def imported_by_cli(module: str) -> bool:
+    """Whether a fresh interpreter has module loaded after importing the CLI."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, cosetpart.cli; print('networkx' in sys.modules)"
+    code = f"import sys, cosetpart.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_networkx():
+    assert not imported_by_cli("networkx")
+
+
+def test_cli_import_leaves_out_oracle():
+    # the brute-force routes load only under --oracle
+    assert not imported_by_cli("cosetpart.oracle")
 
 
 def count_calls(monkeypatch, name):

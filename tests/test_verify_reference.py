@@ -74,17 +74,6 @@ def check_short_witness(spec, verdict):
             assert len(hits(spec, earlier)) == 1, (earlier, word)
 
 
-def mutants(members):
-    """The family with one member dropped, and with one member duplicated,
-    for every member."""
-    out = []
-    for i in range(len(members)):
-        if len(members) > 1:
-            out.append(members[:i] + members[i + 1 :])
-        out.append(members[: i + 1] + members[i:])
-    return out
-
-
 def assert_same_verdict(spec):
     verdict = verify_partition(spec)
     assert verdict == verify_by_word_labels(spec)
@@ -94,7 +83,7 @@ def assert_same_verdict(spec):
     return False
 
 
-def test_verdicts_match_reference_on_corpus_mutants(corpus):
+def test_verdicts_match_reference_on_corpus_mutants(corpus, mutants):
     statuses = set()
     short = 0
     for spec in corpus.values():
@@ -107,7 +96,7 @@ def test_verdicts_match_reference_on_corpus_mutants(corpus):
     assert short > 0
 
 
-def z_families():
+def z_families(mutants):
     """Small coverings and their defective variants: one class dropped,
     duplicated, or shifted by one."""
     families = []
@@ -136,9 +125,9 @@ def z_by_count(classes):
     return PartitionVerdict(IS_PARTITION)
 
 
-def test_lifted_verdicts_match_reference_and_z_verify():
+def test_lifted_verdicts_match_reference_and_z_verify(mutants):
     statuses = set()
-    for classes in z_families():
+    for classes in z_families(mutants):
         spec = z_lift(classes)
         assert_same_verdict(spec)
         verdict = z_verify(classes)
