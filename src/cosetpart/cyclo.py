@@ -47,7 +47,13 @@ class NotSimple(ValueError):
     """The requested pole has multiplicity greater than one."""
 
 
-@lru_cache(maxsize=None)
+# The bound keeps a long-running process from growing without limit; the
+# orders met are periods of Schreier graphs and their divisors, so an
+# analysis rarely needs more than a few dozen.
+CYCLOTOMIC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic(h: int) -> IntPolynomial:
     """The h-th cyclotomic polynomial: divide x^h - 1 by the cyclotomic
     polynomials of the proper divisors of h."""

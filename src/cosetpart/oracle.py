@@ -7,6 +7,8 @@ silent truncation.
 Generating functions are recomputed from cofactors: the numerator is a
 signed minor of I - zA, evaluated at integer points by fraction-free
 Bareiss elimination and interpolated.
+Polynomial gcds are recomputed by primitive-PRS Euclid alone, without
+poly_gcd's GCDHEU evaluation points.
 Residues at the scaled roots of unity are recomputed the direct way:
 Horner's rule in Q(zeta_h) at the point itself, with the pole order read
 off successive derivatives.
@@ -25,7 +27,7 @@ from .partition import (
     PartitionSpec,
     PartitionVerdict,
 )
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _prs_gcd, content, primitive_part
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
 from .spectral import char_data, transition_matrix
@@ -216,3 +218,13 @@ def genfunc_by_cofactors(graph: SchreierGraph, start: int, end: int) -> Rational
     minor = _minor_poly(matrix, end - 1, start - 1)
     sign = -1 if (start + end) % 2 else 1
     return RationalFunction(minor * sign, den)
+
+
+def poly_gcd_by_prs(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Gcd over Z[z] by content and primitive-PRS Euclid, leading
+    coefficient positive: the reference for poly.poly_gcd."""
+    if f.is_zero() or g.is_zero():
+        p = f + g
+        return -p if p and p.coeffs[-1] < 0 else p
+    a = _prs_gcd(primitive_part(f), primitive_part(g)) * math.gcd(content(f), content(g))
+    return a if a.coeffs[-1] > 0 else -a

@@ -1,9 +1,13 @@
 """Dense integer-coefficient polynomials with exact arithmetic.
 
 Coefficients are stored constant term first with no trailing zeros, so
-equality of values is equality of tuples.  Everything here is exact:
-gcds run a content-and-primitive-part Euclid over the integers, and
-division goes through Fractions only when the divisor is not monic.
+equality of values is equality of tuples.  Everything here is exact.
+Gcds run GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989)
+on the primitive parts: the integer gcd of their values at one large
+point, read back as balanced base-xi digits, is accepted only if it
+divides both exactly, which makes it the gcd.  A primitive-PRS Euclid
+over the integers is the fallback when no evaluation point succeeds.
+Division goes through Fractions only when the divisor is not monic.
 """
 
 from __future__ import annotations
@@ -120,12 +124,12 @@ class IntPolynomial:
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self/divisor; requires zero remainder and an
         integer quotient."""
-        quo, rem = divmod_frac(self.coeffs, divisor.coeffs)
-        if rem:
-            raise ValueError(f"{self} is not divisible by {divisor}")
-        if any(c.denominator != 1 for c in quo):
-            raise ValueError(f"quotient of {self} by {divisor} is not integral")
-        return IntPolynomial([int(c) for c in quo])
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        quo = _int_quotient(self.coeffs, divisor.coeffs)
+        if quo is None:
+            raise ValueError(f"{self} is not divisible by {divisor} in Z[z]")
+        return IntPolynomial(quo)
 
     def __str__(self):
         if not self.coeffs:
@@ -202,9 +206,85 @@ def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(r)
 
 
+def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Gcd of nonzero primitive a and b, up to sign, by primitive-PRS
+    Euclid; coefficients stay integral."""
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, primitive_part(_pseudo_rem(a, b))
+    return a
+
+
+def _int_quotient(num, den):
+    """num / den for integer coefficient sequences (constant term first,
+    den nonzero) when den divides num in Z[z], else None.  Stops at the
+    first leading coefficient that den's does not divide."""
+    dn = len(den)
+    r = list(num)
+    lead = den[-1]
+    quo = [0] * max(len(r) - dn + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        t, m = divmod(r[k + dn - 1], lead)
+        if m:
+            return None
+        quo[k] = t
+        if t:
+            for j in range(dn):
+                r[k + j] -= t * den[j]
+    return None if any(r) else quo
+
+
+def _balanced_digits(gamma: int, xi: int) -> list[int]:
+    """Digits of gamma in base xi, each in (-xi/2, xi/2], constant first."""
+    digits = []
+    while gamma:
+        t = gamma % xi
+        if t > xi // 2:
+            t -= xi
+        digits.append(t)
+        gamma = (gamma - t) // xi
+    return digits
+
+
+# GCDHEU's evaluation point grows by this ratio (about 2.73) after a failed
+# candidate, at most GCDHEU_GROWTHS times before the PRS fallback.
+GCDHEU_GROWTHS = 6
+GCDHEU_GROWTH = (73794, 27011)
+
+
+def _gcdheu(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """GCDHEU on primitive a and b of positive degree: their gcd with a
+    positive leading coefficient, or None when every point fails.
+
+    Let G be the primitive part of the balanced digits of
+    gcd(a(xi), b(xi)), c their content.  If G divides a and b, their gcd
+    is G k for some k in Z[z], and G(xi) k(xi) divides c G(xi), so k(xi)
+    divides c, which is at most xi/2.  The roots of k are roots of a and
+    of b, so they lie within 1 + min(|a|, |b|) of 0 (max-norm); with
+    xi > 2 min(|a|, |b|) + 2 a nonconstant k has |k(xi)| > xi/2.  So k is
+    a unit and G is the gcd."""
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
+    for _ in range(GCDHEU_GROWTHS + 1):
+        cand = primitive_part(IntPolynomial(_balanced_digits(math.gcd(a(xi), b(xi)), xi)))
+        if cand.degree == 0:
+            return IntPolynomial([1])
+        if cand.coeffs[-1] < 0:
+            cand = -cand
+        if (
+            _int_quotient(a.coeffs, cand.coeffs) is not None
+            and _int_quotient(b.coeffs, cand.coeffs) is not None
+        ):
+            return cand
+        xi = xi * GCDHEU_GROWTH[0] // GCDHEU_GROWTH[1]
+    return None
+
+
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Gcd over Z[z] (content times primitive gcd), leading coefficient
-    positive.  Primitive-PRS Euclid keeps the coefficients integral."""
+    positive.  The primitive gcd comes from GCDHEU, whose candidates are
+    accepted only after exact division, with primitive-PRS Euclid as the
+    fallback when no evaluation point succeeds."""
     if f.is_zero() and g.is_zero():
         return IntPolynomial()
     if f.is_zero() or g.is_zero():
@@ -212,10 +292,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         return p if p.coeffs[-1] > 0 else -p
     c = math.gcd(content(f), content(g))
     a, b = primitive_part(f), primitive_part(g)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        r = primitive_part(_pseudo_rem(a, b))
-        a, b = b, r
-    a = a * c
+    if a.degree == 0 or b.degree == 0:
+        return IntPolynomial([c])
+    a = (_gcdheu(a, b) or _prs_gcd(a, b)) * c
     return a if a.coeffs[-1] > 0 else -a

@@ -5,10 +5,15 @@ by length; for start vertex i and end vertex f, a_k = (A^k)_{if}.  So
 p = N/q with q(z) = det(I - zA), which has q(0) = 1 and comes from the
 spectral layer, and N a signed minor of I - zA, of degree < d.  N is
 therefore the product q * s truncated below z^d, where s holds the walk
-counts a_0..a_{d-1}; these take d - 1 sparse vector steps along the
-generator permutations.  series_from_matrix is the independent route
-through exact matrix powers, and oracle.genfunc_by_cofactors recomputes
-N as the minor itself; both must agree with genfunc.
+counts a_0..a_{d-1}.  Its coefficients N_m = sum_j q_j a_{m-j} are the
+entries at f of u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i,
+so one walk of d - 1 sparse vector steps along the generator
+permutations gives the numerators for every end vertex at once; genfunc
+reads its end's column from that walk, cached per (graph, start).
+Normal forms come from poly_gcd (GCDHEU, PRS fallback).
+series_from_matrix is the independent route through exact matrix
+powers, and oracle.genfunc_by_cofactors recomputes N as the minor
+itself; both must agree with genfunc.
 """
 
 from __future__ import annotations
@@ -111,27 +116,55 @@ def geometric(n: int) -> RationalFunction:
 GENFUNC_CACHE_SIZE = 2048
 
 
+def _step(graph: SchreierGraph, vec: list[int]) -> list[int]:
+    """vec A: each letter carries the count at v to perm[v]."""
+    nxt = [0] * graph.d
+    for perm in graph.action:
+        for v, count in enumerate(vec):
+            if count:
+                nxt[perm[v] - 1] += count
+    return nxt
+
+
 def walk_counts(
     graph: SchreierGraph, start: int, ends: Iterable[int], depth: int
 ) -> list[int]:
     """s_k = sum over end in ends of (e_start A^k)_end for k = 0..depth:
     the positive words of length k leading from start to any of the ends,
-    an end listed twice counting twice.  One sparse vector step per k: each
-    letter carries the count at v to perm[v]."""
-    d = graph.d
-    vec = [0] * d
+    an end listed twice counting twice.  One sparse vector step per k."""
+    vec = [0] * graph.d
     vec[start - 1] = 1
     ends = [end - 1 for end in ends]
     out = [sum(vec[e] for e in ends)]
     for _ in range(depth):
-        nxt = [0] * d
-        for perm in graph.action:
-            for v, count in enumerate(vec):
-                if count:
-                    nxt[perm[v] - 1] += count
-        vec = nxt
+        vec = _step(graph, vec)
         out.append(sum(vec[e] for e in ends))
     return out
+
+
+# Tables are d x d integers and are only read while a graph's generating
+# functions are first built (genfunc caches each result), so a few suffice.
+WALK_TABLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=WALK_TABLE_CACHE_SIZE)
+def _numerators(
+    graph: SchreierGraph, start: int
+) -> tuple[IntPolynomial, tuple[tuple[int, ...], ...]]:
+    """q = det(I - zA), and a table whose entry [end - 1][m] is the
+    coefficient of z^m in the numerator N of genfunc(graph, start, end),
+    m < d: the end entry of u_m, where u_0 = q_0 e_start and
+    u_m = u_{m-1} A + q_m e_start."""
+    q = char_data(transition_matrix(graph)).reciprocal_charpoly
+    vec = [0] * graph.d
+    vec[start - 1] = q.coeffs[0]
+    rows = [vec]
+    for m in range(1, graph.d):
+        vec = _step(graph, vec)
+        if m < len(q.coeffs):
+            vec[start - 1] += q.coeffs[m]
+        rows.append(vec)
+    return q, tuple(zip(*rows))
 
 
 @lru_cache(maxsize=GENFUNC_CACHE_SIZE)
@@ -142,14 +175,8 @@ def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
     d = graph.d
     if not (1 <= start <= d and 1 <= end <= d):
         raise ValueError(f"start/end must lie in 1..{d}")
-    q = char_data(transition_matrix(graph)).reciprocal_charpoly
-    s = walk_counts(graph, start, (end,), d - 1)
-    # p = N/q with deg N < d, so N is (q * s) truncated below z^d
-    num = [
-        sum(c * s[k - j] for j, c in enumerate(q.coeffs[: k + 1]))
-        for k in range(d)
-    ]
-    return RationalFunction(IntPolynomial(num), q)
+    q, table = _numerators(graph, start)
+    return RationalFunction(IntPolynomial(table[end - 1]), q)
 
 
 def series_from_matrix(

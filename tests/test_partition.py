@@ -369,7 +369,9 @@ def test_analyze_on_partition(mod2_partition):
     assert report.oracle["all_agree"]
 
 
-@pytest.mark.parametrize("d, seed, want_period", [(48, 1, 1), (40, 1, 2)])
+@pytest.mark.parametrize(
+    "d, seed, want_period", [(48, 1, 1), (40, 1, 2), (64, 1, 1), (80, 1, 1)]
+)
 def test_analyze_large_transversal_partition(random_graph, d, seed, want_period):
     spec = transversal_partition(random_graph(d, seed, want_period))
     report = analyze(spec)

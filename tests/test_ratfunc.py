@@ -1,14 +1,17 @@
 import pytest
 
+from cosetpart.cyclo import cyclotomic
 from cosetpart.oracle import lagrange_interpolate
 from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
     RationalFunction,
+    _numerators,
     genfunc,
     geometric,
     rational,
     series_from_matrix,
+    walk_counts,
 )
 from cosetpart.spectral import char_data, period, transition_matrix
 
@@ -136,8 +139,44 @@ def test_numerator_degree_below_zero_multiplicity_bound(graph_family):
             assert f.num.degree - f.den.degree < cd.zero_multiplicity
 
 
+def _genfunc_by_per_end_walk(graph, start, end):
+    """(q * s) mod z^d over q, with s the walk counts to end alone."""
+    q = char_data(transition_matrix(graph)).reciprocal_charpoly
+    s = walk_counts(graph, start, (end,), graph.d - 1)
+    num = [
+        sum(c * s[k - j] for j, c in enumerate(q.coeffs[: k + 1]))
+        for k in range(graph.d)
+    ]
+    return RationalFunction(IntPolynomial(num), q)
+
+
+def test_genfunc_matches_per_end_walk_on_zoo(graph_family):
+    for graph in graph_family.values():
+        for start in range(1, graph.d + 1):
+            for end in range(1, graph.d + 1):
+                want = _genfunc_by_per_end_walk(graph, start, end)
+                assert genfunc(graph, start, end) == want, (start, end)
+
+
+@pytest.mark.parametrize("d, seed, want_period", [(16, 1, 1), (16, 2, 2), (24, 1, 1), (24, 3, 2)])
+def test_genfunc_matches_per_end_walk_on_random_graphs(random_graph, d, seed, want_period):
+    graph = random_graph(d, seed, want_period)
+    for start in (1, d):
+        for end in range(1, d + 1):
+            want = _genfunc_by_per_end_walk(graph, start, end)
+            assert genfunc(graph, start, end) == want, (start, end)
+
+
+def test_genfunc_walks_once_per_start(random_graph):
+    graph = random_graph(20, 9)
+    misses = _numerators.cache_info().misses
+    for end in range(1, graph.d + 1):
+        genfunc(graph, 1, end)
+    assert _numerators.cache_info().misses == misses + 1
+
+
 def test_caches_are_bounded():
-    for cached in (genfunc, char_data):
+    for cached in (genfunc, _numerators, char_data, cyclotomic):
         assert cached.cache_info().maxsize is not None
 
 
