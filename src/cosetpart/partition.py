@@ -5,7 +5,9 @@ Schreier graph of its subgroup.  verify_partition decides disjoint-cover
 exactly by walking the orbit of the tuple of basepoints under the
 componentwise letter actions: the family partitions the group iff every
 reachable tuple sits on exactly one member's accept vertex, and a
-violating tuple yields a certifying witness word.
+violating tuple yields a certifying witness word.  A tuple holds one
+coordinate per distinct Schreier graph, so the walk's time and memory are
+linear in the orbit size times the number of distinct graphs, not members.
 
 On genuine partitions the checkers test the consequences the theory
 predicts: the generating functions sum to 1/(1-nz) with the counting
@@ -17,7 +19,7 @@ largest-index member attains its period as index, the largest index
 repeats.  The identities and lemma 8 run once per distinct Schreier graph
 or denominator, not per member.  The covering systems of the integers are
 the rank-1 specialization, handled both directly (z_verify) and through
-the general machinery (z_to_schreier).
+the general machinery (z_lift, one shared d-cycle per modulus d).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .schreier import (
     transversal,
     trivial_graph,
 )
-from .spectral import char_data, period, transition_matrix
+from .spectral import SpectralSummary, char_data, period, transition_matrix
 from .words import Word, check_rank, concat
 
 IS_PARTITION = "IsPartition"
@@ -98,26 +100,40 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     The orbit of the basepoint tuple under the componentwise permutation
     actions is finite and every group element realises exactly the tuples
     in it (letter actions are bijections, so the monoid orbit equals the
-    group orbit).  Each tuple records only its BFS parent and the letter
-    leading from it, so the walk takes time and memory linear in the orbit
-    size times the number of members; a witness word is read back along
-    the parent pointers only when a defect is found.  Witness words are
+    group orbit).  Members with equal Schreier graphs always sit at the
+    same vertex of it, so a tuple holds one coordinate per distinct graph
+    and a table counts the members accepting at each (graph, vertex).
+    Each tuple records only its BFS parent and the letter leading from it,
+    so the walk takes time and memory linear in the orbit size times the
+    number of distinct graphs; a witness word is read back along the
+    parent pointers only when a defect is found.  Witness words are
     shortest, ties broken shortlex.
     """
     members = spec.members
-    # 0-based vertices throughout; rows[a][i] is letter a + 1 acting on member i
-    accepts = tuple(m.vertex - 1 for m in members)
+    # 0-based vertices throughout; graphs keyed by value in first-appearance
+    # order, slot[g] is the coordinate of every member carried by g
+    slot: dict[SchreierGraph, int] = {}
+    for m in members:
+        slot.setdefault(m.graph, len(slot))
+    hits_at = [[0] * g.d for g in slot]
+    for m in members:
+        hits_at[slot[m.graph]][m.vertex - 1] += 1
+    # rows[a][c] is letter a + 1 acting on coordinate c
     rows = tuple(
-        tuple(tuple(v - 1 for v in m.graph.action[a]) for m in members)
+        tuple(tuple(v - 1 for v in g.action[a]) for g in slot)
         for a in range(spec.rank)
     )
-    start = tuple(m.graph.basepoint - 1 for m in members)
+    start = tuple(g.basepoint - 1 for g in slot)
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
     while queue:
         tup = queue.popleft()
-        if sum(map(operator.eq, tup, accepts)) != 1:
-            hits = [i for i, v in enumerate(tup, start=1) if v == accepts[i - 1]]
+        if sum(map(list.__getitem__, hits_at, tup)) != 1:
+            hits = [
+                i
+                for i, m in enumerate(members, start=1)
+                if tup[slot[m.graph]] == m.vertex - 1
+            ]
             witness = _orbit_word(parent, tup)
             if not hits:
                 return PartitionVerdict(GAP, witness=witness)
@@ -362,7 +378,7 @@ def lemma8_diagnostic(spec: PartitionSpec) -> dict:
     equal the member's period, assert the index equality d_j = d_k that
     the theory predicts for such pairs."""
     _require_partition(spec)
-    return _lemma8_clauses([_member_report(m) for m in spec.members])
+    return _lemma8_clauses(_member_reports(spec.members))
 
 
 def _lemma8_clauses(reports: list[MemberReport]) -> dict:
@@ -444,6 +460,11 @@ def z_verify(classes) -> PartitionVerdict:
     raise AssertionError("residue scan found no defect the certificate missed")
 
 
+def _z_cycle(d: int) -> SchreierGraph:
+    # the Schreier graph of dZ: the directed d-cycle
+    return SchreierGraph((tuple(v % d + 1 for v in range(1, d + 1)),))
+
+
 def z_to_schreier(d: int, r: int) -> tuple[SchreierGraph, Coset]:
     """Lift the residue class dZ + r to the rank-1 machinery: the Schreier
     graph of dZ is the directed d-cycle and the coset vertex sits r steps
@@ -451,15 +472,18 @@ def z_to_schreier(d: int, r: int) -> tuple[SchreierGraph, Coset]:
     if d < 1:
         raise ValueError("modulus must be >= 1")
     r %= d
-    cycle = tuple(v % d + 1 for v in range(1, d + 1))
-    graph = SchreierGraph((cycle,))
-    return graph, coset(graph, (1,) * r)
+    graph = _z_cycle(d)
+    return graph, Coset(graph, r + 1, (1,) * r)
 
 
 def z_lift(classes) -> PartitionSpec:
-    """The general-machinery view of an integer covering system."""
+    """The general-machinery view of an integer covering system.  Each
+    modulus's cycle is built once and shared by all its classes."""
     classes = normalize_z_classes(classes)
-    return PartitionSpec(1, tuple(z_to_schreier(d, r)[1] for d, r in classes))
+    cycles = {d: _z_cycle(d) for d in {d for d, _ in classes}}
+    return PartitionSpec(
+        1, tuple(Coset(cycles[d], r + 1, (1,) * r) for d, r in classes)
+    )
 
 
 def davenport_rado_check(classes) -> dict:
@@ -694,8 +718,7 @@ class AnalysisReport:
         return core
 
 
-def _member_report(member: Coset) -> MemberReport:
-    summary = char_data(transition_matrix(member.graph))
+def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
     return MemberReport(
         index=member.graph.d,
         period=summary.period,
@@ -705,6 +728,15 @@ def _member_report(member: Coset) -> MemberReport:
         vertex=member.vertex,
         rep=member.rep,
     )
+
+
+def _member_reports(members) -> list[MemberReport]:
+    """One report per member; the spectral data is looked up once per
+    distinct graph, not per member."""
+    summaries = {
+        g: char_data(transition_matrix(g)) for g in dict.fromkeys(m.graph for m in members)
+    }
+    return [_member_report(m, summaries[m.graph]) for m in members]
 
 
 def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
@@ -785,7 +817,7 @@ def analyze(
     genuine partitions and are skipped (None) otherwise.
     """
     verdict = verify_partition(spec)
-    members = [_member_report(member) for member in spec.members]
+    members = _member_reports(spec.members)
 
     sum_ok, residual = check_sum_identity(spec)
     coeff_ok = check_coefficient_identity(spec, series_depth)

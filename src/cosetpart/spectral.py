@@ -52,6 +52,14 @@ def is_irreducible(matrix: Matrix) -> bool:
     return True
 
 
+# The bounds keep a long-running process from growing without limit.  The
+# char_data key is a whole d x d matrix, hence a smaller bound than
+# genfunc's; period's key is a graph, of d entries per letter.  An analysis
+# of up to this many distinct subgroups never evicts one.
+CHAR_DATA_CACHE_SIZE = 256
+PERIOD_CACHE_SIZE = 256
+
+
 def _digraph_period(succ: list[list[int]]) -> int:
     # gcd over all edges u->v of level(u) + 1 - level(v), levels by BFS
     # from vertex 0; equals the gcd of all closed-walk lengths when the
@@ -73,8 +81,10 @@ def _digraph_period(succ: list[list[int]]) -> int:
     return g
 
 
+@lru_cache(maxsize=PERIOD_CACHE_SIZE)
 def period(graph: SchreierGraph) -> int:
-    """Period of the transition matrix: gcd of all closed-walk lengths."""
+    """Period of the transition matrix: gcd of all closed-walk lengths.
+    Memoised per graph, so members sharing a graph run one BFS."""
     succ = [[] for _ in range(graph.d)]
     for perm in graph.action:
         for v, w in enumerate(perm, start=1):
@@ -116,12 +126,6 @@ def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
             product.append(acc)
         m = product
     return IntPolynomial(coeffs)
-
-
-# The bound keeps a long-running process from growing without limit; the
-# key is a whole d x d matrix, hence a smaller bound than genfunc's.  An
-# analysis of up to this many distinct subgroups never evicts one.
-CHAR_DATA_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=CHAR_DATA_CACHE_SIZE)

@@ -17,7 +17,7 @@ import pytest
 from cosetpart.partition import (
     PartitionSpec,
     _lemma8_clauses,
-    _member_report,
+    _member_reports,
     check_coefficient_identity,
     check_sum_identity,
     generate_partition,
@@ -133,7 +133,7 @@ def test_coefficient_identity_matches_matrix_powers(family_specs):
 def test_lemma8_matches_per_pair_gcds(family_specs):
     shared_den = distinct_dens = 0
     for key, spec in family_specs.items():
-        reports = [_member_report(m) for m in spec.members]
+        reports = _member_reports(spec.members)
         result = _lemma8_clauses(reports)
         assert result == lemma8_by_pairs(reports), key
         for entry in result["entries"]:

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from cosetpart import partition, spectral
 from cosetpart.cyclo import CycloNumber
 from cosetpart.oracle import partition_by_words
 from cosetpart.partition import (
@@ -218,6 +220,72 @@ def test_z_to_schreier_period_equals_modulus():
     for d in range(1, 13):
         graph, _ = z_to_schreier(d, 0)
         assert period(graph) == d
+
+
+def lift_per_class(classes):
+    """The lift with a new d-cycle built for every class dZ + r."""
+    members = []
+    for d, r in classes:
+        cycle = from_permutations(1, [list(range(2, d + 1)) + [1]])
+        members.append(coset(cycle, (1,) * (r % d)))
+    return PartitionSpec(1, tuple(members))
+
+
+def z_coverings():
+    return [generate_z_covering(depth, seed) for depth in range(1, 8) for seed in (1, 2, 3)]
+
+
+def test_z_lift_equals_per_class_lift():
+    for classes in z_coverings():
+        for family in (classes, classes[:-1] + ((classes[-1][0], classes[-1][1] + 7),)):
+            lifted = z_lift(family)
+            assert lifted == lift_per_class(family)
+            for (d, r), member in zip(family, lifted.members):
+                assert z_to_schreier(d, r) == (member.graph, member)
+
+
+def test_z_lift_shares_one_graph_per_modulus():
+    for classes in z_coverings():
+        members = z_lift(classes).members
+        assert len({id(m.graph) for m in members}) == len({d for d, _ in classes})
+        for a, b in itertools.combinations(members, 2):
+            assert (a.graph is b.graph) == (a.graph.d == b.graph.d)
+
+
+def test_member_periods_run_once_per_modulus(monkeypatch):
+    digraph_period = spectral._digraph_period
+    calls = []
+
+    def counted(succ):
+        calls.append(len(succ))
+        return digraph_period(succ)
+
+    monkeypatch.setattr(spectral, "_digraph_period", counted)
+    for classes in z_coverings()[-6:]:
+        period.cache_clear()
+        calls.clear()
+        lifted = z_lift(classes)
+        assert member_periods(lifted) == [d for d, _ in classes]
+        assert member_periods(lifted) == [d for d, _ in classes]
+        assert len(classes) > len(calls)
+        assert sorted(calls) == sorted({d for d, _ in classes})
+
+
+def test_analyze_looks_up_spectra_once_per_graph(monkeypatch, random_graph):
+    char_data = spectral.char_data
+    looked_up = []
+
+    def counted(matrix):
+        looked_up.append(matrix)
+        return char_data(matrix)
+
+    monkeypatch.setattr(partition, "char_data", counted)
+    graph = random_graph(12, 3)
+    spec = transversal_partition(graph)
+    report = analyze(spec)
+    assert report.all_checks_pass
+    lemma8_diagnostic(spec)
+    assert len(looked_up) == 2 and len(spec.members) == 12
 
 
 def test_davenport_rado_examples():

@@ -176,7 +176,7 @@ def test_genfunc_walks_once_per_start(random_graph):
 
 
 def test_caches_are_bounded():
-    for cached in (genfunc, _numerators, char_data, cyclotomic):
+    for cached in (genfunc, _numerators, char_data, period, cyclotomic):
         assert cached.cache_info().maxsize is not None
 
 

@@ -1,15 +1,18 @@
 """Partition verdicts against independent references.
 
 `verify_by_word_labels` is the product-orbit BFS that stores every orbit
-tuple's whole witness word.  `verify_partition` keeps parent pointers
-instead and must return the same verdict (status, witness and overlap
-indices) on valid and defective families.  Short witnesses are also
-checked from first principles: no shorter positive word, and no
+tuple's whole witness word.  `verify_by_member_coordinates` keeps parent
+pointers but gives each orbit tuple one coordinate per member.
+`verify_partition` keeps parent pointers and one coordinate per distinct
+Schreier graph, and must return the same verdict (status, witness and
+overlap indices) as both on valid and defective families.  Short
+witnesses are also checked from first principles: no shorter positive word, and no
 shortlex-earlier one of the same length, is a defect.  `z_verify` is
 checked against a membership count over the residues mod lcm.
 """
 
 import math
+import operator
 import tracemalloc
 from collections import deque
 
@@ -19,12 +22,14 @@ from cosetpart.partition import (
     OVERLAP,
     PartitionSpec,
     PartitionVerdict,
+    _orbit_word,
+    generate_partition,
     generate_z_covering,
     verify_partition,
     z_lift,
     z_verify,
 )
-from cosetpart.schreier import membership
+from cosetpart.schreier import SchreierGraph, coset, from_permutations, membership
 from cosetpart.words import enumerate_positive
 
 SHORT_WITNESS = 6
@@ -54,6 +59,35 @@ def verify_by_word_labels(spec):
     return PartitionVerdict(IS_PARTITION)
 
 
+def verify_by_member_coordinates(spec):
+    """Parent-pointer walk whose tuples hold one vertex per member."""
+    members = spec.members
+    accepts = tuple(m.vertex - 1 for m in members)
+    rows = tuple(
+        tuple(tuple(v - 1 for v in m.graph.action[a]) for m in members)
+        for a in range(spec.rank)
+    )
+    start = tuple(m.graph.basepoint - 1 for m in members)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        tup = queue.popleft()
+        if sum(map(operator.eq, tup, accepts)) != 1:
+            hits = [i for i, v in enumerate(tup, start=1) if v == accepts[i - 1]]
+            witness = _orbit_word(parent, tup)
+            if not hits:
+                return PartitionVerdict(GAP, witness=witness)
+            return PartitionVerdict(
+                OVERLAP, witness=witness, overlap_indices=(hits[0], hits[1])
+            )
+        for letter, row in enumerate(rows, start=1):
+            nxt = tuple(map(tuple.__getitem__, row, tup))
+            if nxt not in parent:
+                parent[nxt] = (tup, letter)
+                queue.append(nxt)
+    return PartitionVerdict(IS_PARTITION)
+
+
 def hits(spec, word):
     return [i for i, m in enumerate(spec.members, start=1) if membership(m, word)]
 
@@ -77,6 +111,7 @@ def check_short_witness(spec, verdict):
 def assert_same_verdict(spec):
     verdict = verify_partition(spec)
     assert verdict == verify_by_word_labels(spec)
+    assert verdict == verify_by_member_coordinates(spec)
     if not verdict.ok and len(verdict.witness) <= SHORT_WITNESS:
         check_short_witness(spec, verdict)
         return True
@@ -87,7 +122,7 @@ def test_verdicts_match_reference_on_corpus_mutants(corpus, mutants):
     statuses = set()
     short = 0
     for spec in corpus.values():
-        assert verify_partition(spec) == verify_by_word_labels(spec)
+        assert_same_verdict(spec)
         for members in mutants(spec.members):
             mutant = PartitionSpec(spec.rank, members)
             short += assert_same_verdict(mutant)
@@ -144,6 +179,73 @@ def test_lifted_verdicts_match_reference_and_z_verify(mutants):
                 verdict.overlap_indices,
             )
     assert statuses == {IS_PARTITION, GAP, OVERLAP}
+
+
+def copy_graph(graph):
+    """An equal graph that is a distinct object, with distinct tuples."""
+    return SchreierGraph(tuple(tuple(list(p)) for p in graph.action), graph.basepoint)
+
+
+def with_copied_member(members):
+    """The family with one member repeated on an equal but distinct graph
+    object, for every member: an overlap in every case."""
+    return [members + (coset(copy_graph(m.graph), m.rep),) for m in members]
+
+
+def test_equal_but_distinct_graph_objects():
+    checked = 0
+    for key in ((1, 3, 1), (2, 2, 1), (2, 3, 2), (3, 2, 2), (2, 3, 7)):
+        spec = generate_partition(*key)
+        # every other member moves to a copy of its graph
+        copies = {}
+        members = tuple(
+            coset(copies.setdefault(m.graph, copy_graph(m.graph)), m.rep) if i % 2 else m
+            for i, m in enumerate(spec.members)
+        )
+        assert any(
+            a.graph == b.graph and a.graph is not b.graph
+            for a in members
+            for b in members
+        )
+        base = PartitionSpec(spec.rank, members)
+        assert_same_verdict(base)
+        assert verify_partition(base).ok
+        for family in with_copied_member(members):
+            mutant = PartitionSpec(spec.rank, family)
+            assert_same_verdict(mutant)
+            assert verify_partition(mutant).status == OVERLAP
+            checked += 1
+    assert checked > 20
+
+
+def test_two_members_at_one_vertex_of_one_graph():
+    graph = from_permutations(2, [(2, 3, 1), (3, 1, 2)])
+    a, b, c = (coset(graph, w) for w in ((), (1,), (1, 1)))
+    same = coset(graph, (2,))  # the letter b also reaches c's vertex 3
+    assert same.vertex == c.vertex and same.rep != c.rep
+    for family, status in (
+        ((a, b, c), IS_PARTITION),
+        ((a, c, same), GAP),
+        ((a, b, c, same), OVERLAP),
+        ((same, a, b, c), OVERLAP),
+    ):
+        spec = PartitionSpec(2, family)
+        assert_same_verdict(spec)
+        assert verify_partition(spec).status == status
+    overlap = verify_partition(PartitionSpec(2, (a, b, c, same)))
+    assert overlap.overlap_indices == (3, 4)
+
+
+def test_overlap_indices_follow_member_order():
+    # member 2 sits on the graph that first appears second, member 3 on the
+    # first one; the overlap still names them in member order
+    classes = ((2, 0), (4, 1), (2, 1))
+    spec = z_lift(classes)
+    assert_same_verdict(spec)
+    assert verify_partition(spec) == PartitionVerdict(
+        OVERLAP, witness=(1,), overlap_indices=(2, 3)
+    )
+    assert z_verify(classes) == PartitionVerdict(OVERLAP, witness=1, overlap_indices=(2, 3))
 
 
 def test_z_verify_certificate_boundary():
