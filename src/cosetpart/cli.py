@@ -115,12 +115,7 @@ def cmd_subgroup(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = formats.parse_partition_file(_load_json(args.input))
-    report = analyze(
-        spec,
-        series_depth=args.series_depth,
-        with_oracle=args.oracle,
-        with_numeric_residues=args.numeric_residues,
-    )
+    report = analyze(spec, series_depth=args.series_depth, with_oracle=args.oracle)
     rank = spec.rank
 
     print(f"rank n = {rank}, members s = {len(spec.members)}")
@@ -255,15 +250,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _add_common(sub, with_numeric=True):
+def _add_common(sub):
     sub.add_argument("--series-depth", type=int, default=20, metavar="K")
     sub.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
-    if with_numeric:
-        sub.add_argument(
-            "--numeric-residues",
-            action="store_true",
-            help="add floating-point residue cross-checks (debugging aid)",
-        )
     sub.add_argument("--out", metavar="PATH", help="write the JSON report here")
 
 
@@ -277,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroup", help="analyze one finite-index subgroup")
     p.add_argument("input", help="subgroup JSON file")
-    _add_common(p, with_numeric=False)
+    _add_common(p)
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("analyze", help="verify and analyze a coset partition")
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zanalyze", help="analyze a covering system of Z")
     p.add_argument("input", help="Z-system JSON file")
-    _add_common(p, with_numeric=False)
+    _add_common(p)
     p.set_defaults(func=cmd_zanalyze)
 
     p = sub.add_parser("generate", help="emit a deterministic corpus partition")
@@ -306,6 +295,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(

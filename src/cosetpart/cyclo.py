@@ -22,15 +22,15 @@ term by term:
   residue at zeta_h / n (CycloNumber.conjugate), and a residue sum need
   only be computed at m = 1.
 
-oracle keeps the direct route (Horner's rule in Q(zeta_h), pole order
-from successive derivatives) as an independent reference.
-residue_numeric is a floating-point cross-check for debugging only;
-every acceptance check runs on the exact path.
+partition reads the residues of a partition's members in closed form
+from their cyclic classes; the residues here, computed from the generating
+functions themselves, are the tests' independent route to the same
+values.  oracle keeps the direct route (Horner's rule in Q(zeta_h), pole
+order from successive derivatives) as a reference for this one.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -296,8 +296,3 @@ def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
         raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
     return value
 
-
-def residue_numeric(f: RationalFunction, h: int, m: int, n: int) -> complex:
-    """Floating-point residue for debugging cross-checks only."""
-    z0 = cmath.exp(2j * cmath.pi * m / h) / n
-    return f.num(z0) / f.den.derivative()(z0)

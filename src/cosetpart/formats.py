@@ -56,6 +56,11 @@ def subgroup_to_json(graph: SchreierGraph) -> dict:
     return {"rank": graph.rank, "permutations": [list(p) for p in graph.action]}
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_subgroup(obj) -> SchreierGraph:
     """Build a graph from a subgroup record, folding generators if that is
     how the subgroup is given.  May raise InfiniteIndex."""
@@ -74,7 +79,13 @@ def parse_subgroup(obj) -> SchreierGraph:
         perms = obj["permutations"]
         if not isinstance(perms, list) or not all(isinstance(p, list) for p in perms):
             raise ValueError("'permutations' must be a list of lists")
-        return from_permutations(rank, perms, obj.get("basepoint", 1))
+        for perm in perms:
+            if not all(_is_int(v) for v in perm):
+                raise ValueError(f"'permutations' entries must be integers, got {perm!r}")
+        basepoint = obj.get("basepoint", 1)
+        if not _is_int(basepoint):
+            raise ValueError(f"'basepoint' must be an integer, got {basepoint!r}")
+        return from_permutations(rank, perms, basepoint)
     raise ValueError("subgroup record needs 'generators' or 'permutations'")
 
 
@@ -123,7 +134,7 @@ def parse_z_file(obj) -> list[tuple[int, int]]:
     for i, pair in enumerate(obj["moduli"], start=1):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"moduli entry {i} must be a [modulus, residue] pair")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
+        if not all(map(_is_int, pair)):
             raise ValueError(f"moduli entry {i} must hold two integers, got {pair!r}")
         out.append((pair[0], pair[1]))
     return out
@@ -189,8 +200,5 @@ def analysis_report_to_json(report: AnalysisReport) -> dict:
         "residue_sums": [_residue_entry_to_json(e) for e in report.residue_sums],
         "lemma8": report.lemma8,
         "oracle": report.oracle,
-        "numeric_residues": list(report.numeric_residues)
-        if report.numeric_residues is not None
-        else None,
         "all_checks_pass": report.all_checks_pass,
     }

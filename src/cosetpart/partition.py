@@ -16,23 +16,27 @@ period that does not properly divide another, and every period divides
 some other member's period; the residues of the members' generating
 functions at each scaled root of unity sum to zero; and when the
 largest-index member attains its period as index, the largest index
-repeats.  The identities and lemma 8 run once per distinct Schreier graph
-or denominator, not per member.  The covering systems of the integers are
-the rank-1 specialization, handled both directly (z_verify) and through
-the general machinery (z_lift, one shared d-cycle per modulus d).
+repeats.  The identities run once per distinct Schreier graph or
+denominator, not per member.  Residues and lemma 8 come in closed form
+from each member's index d_i, period h_i and cyclic class l_i (see
+_residue_sum): at zeta_h / n the check reads
+sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
+literal.  The covering systems of the integers are the rank-1
+specialization, handled both directly (z_verify) and through the general
+machinery (z_lift, one shared d-cycle per modulus d).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .cyclo import CycloNumber, pole_multiplicity, residue_at, residue_numeric
-from .poly import IntPolynomial, poly_gcd
+from .cyclo import CycloNumber
+from .poly import IntPolynomial
 from .ratfunc import ZERO, RationalFunction, genfunc, walk_counts
 from .schreier import (
     Coset,
@@ -351,69 +355,80 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     z0 = zeta_h^m / n, of the residues there.
 
     Zero on genuine partitions whenever h > 1; for h = 1 the point 1/n is
-    a pole of 1/(1-nz) itself and the sum is its residue -1/n.  The pole
-    set is the same for every m coprime to h, so the sum is computed at
-    zeta_h / n and carried to z0 by the Galois automorphism sigma_m.
+    a pole of 1/(1-nz) itself and the sum is its residue -1/n.  Each
+    residue comes in closed form from the member's index, period and
+    cyclic class (see _residue_sum).
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
-    total = CycloNumber.zero(h)
-    for member in spec.members:
-        value = residue_at(member_genfunc(member), h, 1, spec.rank)
-        if value is not None:
-            total = total + value
-    return total.conjugate(m)
+    return _residue_sum(_member_reports(spec.members), spec.rank, h, m)
 
 
-def _strip_common_factors(g: IntPolynomial, others) -> IntPolynomial:
-    for other in others:
-        while g.degree >= 1 and (common := poly_gcd(g, other)).degree >= 1:
-            g = g.exact_div(common)
-    return g
+def _residue_sum(reports: list[MemberReport], n: int, h: int, m: int) -> CycloNumber:
+    """residue_sum_check on member reports: -1/(n d_i) bucketed at the
+    exponent m (l_i + 1) mod h over the members with h | h_i, then one
+    reduction mod Phi_h.
+
+    Member i, of index d_i, period h_i and cyclic class l_i (the level of
+    its vertex from the basepoint, mod h_i), has p_i = e_b (I - zA)^-1 e_v.
+    A is irreducible with every row and column summing to n, so by
+    Perron-Frobenius its eigenvalues of modulus n are the n w with
+    w^(h_i) = 1, each simple, with right eigenvector w^c(u) and left
+    eigenvector w^-c(u), c the cyclic class of vertex u.  So
+    z0 = zeta_h^m / n is a pole iff n / zeta_h^m is such an eigenvalue,
+    i.e. iff h | h_i; it is simple, and near it (I - zA)^-1 is
+    P / (1 - z/z0) plus a part analytic at z0, with
+    P = (w^(c(u) - c(u')))_(u, u') / d_i and w = zeta_h^-m.  The residue is
+    -z0 P_(b, v) = -zeta_h^(m (l_i + 1)) / (n d_i).
+    """
+    buckets = [Fraction(0)] * h
+    for r in reports:
+        if r.period % h == 0:
+            buckets[m * (r.cyclic_class + 1) % h] -= Fraction(1, n * r.index)
+    return CycloNumber(h, buckets)
 
 
 def lemma8_diagnostic(spec: PartitionSpec) -> dict:
-    """For every pole class attained by exactly two members {j, k}: report
-    their zero-eigenvalue multiplicities, and when both vanish or both
-    equal the member's period, assert the index equality d_j = d_k that
-    the theory predicts for such pairs."""
+    """For every h > 1 that divides the periods of exactly two members j
+    and k: assert d_j = d_k, h even and l_j - l_k = h/2 (mod h), where l
+    is the member's cyclic class.
+
+    Proof.  On a partition the residues at zeta_h / n sum to zero, because
+    sum_i p_i = 1/(1-nz) is analytic there.  Only j and k have a pole
+    there, with residues -zeta_h^(l + 1) / (n d) (see _residue_sum), so
+    these cancel.  Both have modulus 1/(n d), hence d_j = d_k, and
+    zeta_h^(l_j - l_k) = -1, hence h is even and l_j - l_k = h/2 (mod h).
+
+    The source paper's statement of the lemma is not in this repository
+    (PAPER.md holds only its abstract), so its exact hypothesis could not
+    be consulted; the checker asserts the statement proved here.
+    """
     _require_partition(spec)
     return _lemma8_clauses(_member_reports(spec.members))
 
 
 def _lemma8_clauses(reports: list[MemberReport]) -> dict:
-    """lemma8_diagnostic on the member reports of a verified partition.  A
-    factor exclusive to {j, k} divides no third member's denominator, so only
-    denominators held by j and k alone (one shared, or one each) need gcds."""
-    holders: dict[IntPolynomial, list[int]] = {}
-    for i, r in enumerate(reports):
-        holders.setdefault(r.genfunc.den, []).append(i)
+    """lemma8_diagnostic on the member reports of a verified partition;
+    entries in increasing h, classes reduced mod h."""
+    periods = {r.period for r in reports}
     entries = []
-    for (den_j, js), (den_k, ks) in itertools.combinations_with_replacement(
-        holders.items(), 2
-    ):
-        if len(pair := sorted({*js, *ks})) != 2:
+    for h in sorted({h for p in periods for h in range(2, p + 1) if p % h == 0}):
+        pair = [i for i, r in enumerate(reports) if r.period % h == 0]
+        if len(pair) != 2:
             continue
-        shared = poly_gcd(den_j, den_k)
-        if _strip_common_factors(shared, holders.keys() - {den_j, den_k}).degree < 1:
-            continue
-        j, k = pair
-        n0j, n0k = reports[j].zero_multiplicity, reports[k].zero_multiplicity
-        hj, hk = reports[j].period, reports[k].period
-        dj, dk = reports[j].index, reports[k].index
-        hypothesis = (n0j == 0 and n0k == 0) or (n0j == hj and n0k == hk)
+        rj, rk = (reports[i] for i in pair)
+        classes = (rj.cyclic_class % h, rk.cyclic_class % h)
         entries.append(
             {
-                "pair": (j + 1, k + 1),
-                "zero_multiplicities": (n0j, n0k),
-                "periods": (hj, hk),
-                "indices": (dj, dk),
-                "hypothesis_met": hypothesis,
-                "indices_equal": (dj == dk) if hypothesis else None,
-                "ok": (dj == dk) if hypothesis else True,
+                "period": h,
+                "pair": (pair[0] + 1, pair[1] + 1),
+                "indices": (rj.index, rk.index),
+                "classes": classes,
+                "ok": rj.index == rk.index
+                and h % 2 == 0
+                and (classes[0] - classes[1]) % h == h // 2,
             }
         )
-    entries.sort(key=operator.itemgetter("pair"))
     return {"entries": entries, "all_pass": all(e["ok"] for e in entries)}
 
 
@@ -676,6 +691,7 @@ class MemberReport:
 
     index: int
     period: int
+    cyclic_class: int  # level of the vertex from the basepoint, mod period
     zero_multiplicity: int
     reciprocal_charpoly: IntPolynomial
     genfunc: RationalFunction
@@ -699,7 +715,6 @@ class AnalysisReport:
     residue_sums: tuple[dict, ...]
     lemma8: dict | None
     oracle: dict | None = None
-    numeric_residues: tuple[dict, ...] | None = None
 
     @property
     def all_checks_pass(self) -> bool:
@@ -719,9 +734,12 @@ class AnalysisReport:
 
 
 def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
+    classes = summary.cyclic_classes
     return MemberReport(
         index=member.graph.d,
         period=summary.period,
+        cyclic_class=(classes[member.vertex - 1] - classes[member.graph.basepoint - 1])
+        % summary.period,
         zero_multiplicity=summary.zero_multiplicity,
         reciprocal_charpoly=summary.reciprocal_charpoly,
         genfunc=member_genfunc(member),
@@ -780,35 +798,10 @@ def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
     }
 
 
-def _numeric_residue_section(spec: PartitionSpec, pairs) -> tuple[dict, ...]:
-    tol = 1e-9
-    genfuncs = [member_genfunc(member) for member in spec.members]
-    poles = {
-        h: [f for f in genfuncs if pole_multiplicity(f.den, h, spec.rank)]
-        for h in {h for h, _ in pairs}
-    }
-    out = []
-    for h, m in pairs:
-        total = 0j
-        for f in poles[h]:
-            total += residue_numeric(f, h, m, spec.rank)
-        out.append(
-            {
-                "period": h,
-                "m": m,
-                "real": total.real,
-                "imag": total.imag,
-                "within_tolerance": abs(total) <= tol,
-            }
-        )
-    return tuple(out)
-
-
 def analyze(
     spec: PartitionSpec,
     series_depth: int = 20,
     with_oracle: bool = False,
-    with_numeric_residues: bool = False,
 ) -> AnalysisReport:
     """Run every check on the spec and collect the full report.
 
@@ -824,19 +817,15 @@ def analyze(
 
     theorem1 = theorem2 = lemma8 = None
     residue_entries: list[dict] = []
-    pairs: list[tuple[int, int]] = []
     if verdict.ok:
         periods = [r.period for r in members]
         theorem1 = _theorem1_clauses(periods)
         theorem2 = _theorem2_clauses(periods, [r.index for r in members])
         lemma8 = _lemma8_clauses(members)
         for h in sorted({p for p in periods if p > 1}):
-            # the other coprime m are Galois conjugates of m = 1
-            base = residue_sum_check(spec, h, 1)
             for m in range(1, h):
                 if math.gcd(m, h) == 1:
-                    pairs.append((h, m))
-                    value = base.conjugate(m)
+                    value = _residue_sum(members, spec.rank, h, m)
                     residue_entries.append(
                         {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
                     )
@@ -854,7 +843,4 @@ def analyze(
         residue_sums=tuple(residue_entries),
         lemma8=lemma8,
         oracle=_oracle_section(spec, verdict) if with_oracle else None,
-        numeric_residues=_numeric_residue_section(spec, pairs)
-        if with_numeric_residues
-        else None,
     )

@@ -7,7 +7,10 @@ characteristic data is kept exact: q(z) = det(I - zA) as an integer
 polynomial, computed by the Faddeev-LeVerrier recurrence (all divisions
 are exact over the integers).  Each row of A has at most n nonzero
 entries, so every product A * M in the recurrence is a sum of at most n
-scaled rows of M: O(n d^2) per step instead of O(d^3).
+scaled rows of M: O(n d^2) per step instead of O(d^3).  One BFS gives
+the period h and each vertex's cyclic class, its BFS level mod h; the
+eigenvalues of modulus n are n * omega for the h-th roots of unity omega,
+each simple, with eigenvectors omega^class (Perron-Frobenius).
 """
 
 from __future__ import annotations
@@ -60,17 +63,20 @@ CHAR_DATA_CACHE_SIZE = 256
 PERIOD_CACHE_SIZE = 256
 
 
-def _digraph_period(succ: list[list[int]]) -> int:
-    # gcd over all edges u->v of level(u) + 1 - level(v), levels by BFS
-    # from vertex 0; equals the gcd of all closed-walk lengths when the
-    # digraph is strongly connected.
-    level = {0: 0}
+def _digraph_period(succ: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Period h and the cyclic class of every vertex: its BFS level from
+    vertex 0, mod h.  h is the gcd over all edges u->v of
+    level(u) + 1 - level(v), which equals the gcd of all closed-walk lengths
+    when the digraph is strongly connected; then every walk from u to v has
+    length class(v) - class(u) mod h."""
+    level = [-1] * len(succ)
+    level[0] = 0
     queue = deque([0])
     order = [0]
     while queue:
         u = queue.popleft()
         for v in succ[u]:
-            if v not in level:
+            if level[v] < 0:
                 level[v] = level[u] + 1
                 order.append(v)
                 queue.append(v)
@@ -78,7 +84,8 @@ def _digraph_period(succ: list[list[int]]) -> int:
     for u in order:
         for v in succ[u]:
             g = math.gcd(g, level[u] + 1 - level[v])
-    return g
+    # g = 0 only for the edgeless one-vertex digraph, which has no closed walk
+    return g, tuple(x % g for x in level) if g else tuple(level)
 
 
 @lru_cache(maxsize=PERIOD_CACHE_SIZE)
@@ -89,7 +96,7 @@ def period(graph: SchreierGraph) -> int:
     for perm in graph.action:
         for v, w in enumerate(perm, start=1):
             succ[v - 1].append(w - 1)
-    return _digraph_period(succ)
+    return _digraph_period(succ)[0]
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,7 @@ class SpectralSummary:
     period: int
     reciprocal_charpoly: IntPolynomial  # q(z) = det(I - zA), q(0) = 1
     zero_multiplicity: int  # algebraic multiplicity of eigenvalue 0
+    cyclic_classes: tuple[int, ...]  # per vertex, BFS level from vertex 1 mod period
 
 
 def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
@@ -130,7 +138,8 @@ def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
 
 @lru_cache(maxsize=CHAR_DATA_CACHE_SIZE)
 def char_data(matrix: Matrix) -> SpectralSummary:
-    """Period, q(z) = det(I - zA), and the multiplicity of eigenvalue 0.
+    """Period, q(z) = det(I - zA), the multiplicity of eigenvalue 0, and
+    the cyclic classes of the vertices, all from one BFS and one recurrence.
 
     Requires an irreducible nonnegative integer matrix (every transition
     matrix of a Schreier graph qualifies).
@@ -143,8 +152,10 @@ def char_data(matrix: Matrix) -> SpectralSummary:
         raise ValueError("matrix is not irreducible")
     q = _reciprocal_charpoly(matrix)
     succ = [[j for j in range(d) if matrix[i][j]] for i in range(d)]
+    h, classes = _digraph_period(succ)
     return SpectralSummary(
-        period=_digraph_period(succ),
+        period=h,
         reciprocal_charpoly=q,
         zero_multiplicity=d - q.degree,
+        cyclic_classes=classes,
     )

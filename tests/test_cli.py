@@ -76,7 +76,6 @@ def test_analyze_partition(tmp_path):
             "analyze",
             write(tmp_path, "mod2.json", MOD2),
             "--oracle",
-            "--numeric-residues",
             "--series-depth",
             "12",
             "--out",
@@ -92,7 +91,6 @@ def test_analyze_partition(tmp_path):
     assert report["members"][0]["period"] == 2
     assert report["residue_sums"][0]["is_zero"] is True
     assert report["oracle"]["all_agree"] is True
-    assert report["numeric_residues"][0]["within_tolerance"] is True
     # report echoes its input, and the echo re-parses to the same spec
     spec = formats.parse_partition_file(report["input"])
     k = from_permutations(2, [(2, 1), (2, 1)])
@@ -169,6 +167,12 @@ def test_missing_file_is_exit_1(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_directory_input_is_exit_1(tmp_path, capsys):
+    rc = main(["analyze", str(tmp_path)])
+    assert rc == 1
+    assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+
 def test_bad_json_reports_line_and_column(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"rank": 2,\n "members": [}')
@@ -189,6 +193,17 @@ def test_malformed_partition_is_exit_1(tmp_path, capsys):
         ({"rank": 2, "members": [{"subgroup": {"rank": 2, "generators": "ab"}}]}, "'generators'"),
         ({"rank": 2, "members": [{"subgroup": {"rank": 2, "permutations": 5}}]}, "'permutations'"),
     ]
+    bad_subgroups = [
+        ({"permutations": [["x", 1], [2, 1]]}, "entries must be integers, got ['x', 1]"),
+        ({"permutations": [[2.0, 1], [2, 1]]}, "entries must be integers, got [2.0, 1]"),
+        ({"permutations": [[2, 1], [True, 2]]}, "entries must be integers, got [True, 2]"),
+        (dict(sub, basepoint="1"), "'basepoint' must be an integer, got '1'"),
+        (dict(sub, basepoint=1.0), "'basepoint' must be an integer, got 1.0"),
+        (dict(sub, basepoint=True), "'basepoint' must be an integer, got True"),
+    ]
+    for record, message in bad_subgroups:
+        record = {"rank": 2, **record}
+        cases.append(({"rank": 2, "members": [{"subgroup": record}]}, message))
     for obj, message in cases:
         rc = main(["analyze", write(tmp_path, "bad.json", obj)])
         assert rc == 1, obj

@@ -9,7 +9,6 @@ from cosetpart.cyclo import (
     cyclotomic,
     eval_at_root,
     pole_order,
-    residue_numeric,
     residue_simple,
 )
 from cosetpart.poly import IntPolynomial
@@ -101,9 +100,3 @@ def test_automaton_poles_are_simple(graph_family):
             f = genfunc(graph, 1, end)
             for m in range(h):
                 assert pole_order(f, h, m, n) == 1
-
-
-def test_numeric_residue_matches_exact():
-    f = rational([1], [1, 0, -4])
-    num = residue_numeric(f, 2, 1, 2)
-    assert abs(num - 0.25) < 1e-12

@@ -1,19 +1,21 @@
-"""The grouped identity checks against per-member references.
+"""The grouped identity checks and the closed-form residues against
+per-member references.
 
 `check_coefficient_identity` walks once per distinct Schreier graph,
-`check_sum_identity` normalises once per distinct denominator, and
-`_lemma8_clauses` runs gcds only on denominators held by the two members
-of a pair.  The references below do the same work one member, or one
-member pair, at a time: dense matrix powers per member, one rational
-addition per member, and for each pair a gcd stripped against every other
-member's denominator.  Both must agree on partitions and on defective
+`check_sum_identity` normalises once per distinct denominator, and the
+residues and lemma 8 are read from each member's index, period and cyclic
+class.  The references below do the same work one member at a time: dense
+matrix powers per member, one rational addition per member, and residues
+of the members' generating functions (`cyclo.pole_order`, `residue_at`,
+`residue_simple`).  Both must agree on partitions and on defective
 families alike.
 """
 
-import itertools
+from fractions import Fraction
 
 import pytest
 
+from cosetpart.cyclo import CycloNumber, pole_order, residue_at, residue_simple
 from cosetpart.partition import (
     PartitionSpec,
     _lemma8_clauses,
@@ -22,10 +24,10 @@ from cosetpart.partition import (
     check_sum_identity,
     generate_partition,
     member_genfunc,
+    member_periods,
 )
-from cosetpart.poly import poly_gcd
 from cosetpart.ratfunc import ZERO, geometric, series_from_matrix
-from cosetpart.schreier import coset, transversal
+from cosetpart.schreier import coset, from_permutations, transversal
 
 DEPTHS = (0, 1, 7, 20)
 
@@ -49,49 +51,26 @@ def sum_identity_by_members(spec):
     return residual.is_zero(), residual
 
 
-def strip_common_factors(g, other):
-    common = poly_gcd(g, other)
-    while common.degree >= 1:
-        g = g.exact_div(common)
-        common = poly_gcd(g, other)
-    return g
-
-
-def lemma8_by_pairs(reports):
-    dens = [r.genfunc.den for r in reports]
-    s = len(reports)
+def lemma8_by_residues(spec):
+    """(h, pair, ok) for every h whose pole zeta_h / n the generating
+    functions of exactly two members have; ok iff their residues cancel."""
+    n = spec.rank
+    genfuncs = [member_genfunc(member) for member in spec.members]
     entries = []
-    for j, k in itertools.combinations(range(s), 2):
-        exclusive = poly_gcd(dens[j], dens[k])
-        for l in range(s):
-            if l not in (j, k) and exclusive.degree >= 1:
-                exclusive = strip_common_factors(exclusive, dens[l])
-        if exclusive.degree < 1:
-            continue
-        rj, rk = reports[j], reports[k]
-        n0j, n0k = rj.zero_multiplicity, rk.zero_multiplicity
-        hypothesis = (n0j == 0 and n0k == 0) or (
-            n0j == rj.period and n0k == rk.period
-        )
-        equal = rj.index == rk.index
-        entries.append(
-            {
-                "pair": (j + 1, k + 1),
-                "zero_multiplicities": (n0j, n0k),
-                "periods": (rj.period, rk.period),
-                "indices": (rj.index, rk.index),
-                "hypothesis_met": hypothesis,
-                "indices_equal": equal if hypothesis else None,
-                "ok": equal if hypothesis else True,
-            }
-        )
-    return {"entries": entries, "all_pass": all(e["ok"] for e in entries)}
+    for h in range(2, max(member_periods(spec)) + 1):
+        pair = [i for i, f in enumerate(genfuncs) if pole_order(f, h, 1, n) >= 1]
+        if len(pair) == 2:
+            j, k = pair
+            total = residue_simple(genfuncs[j], h, 1, n) + residue_simple(genfuncs[k], h, 1, n)
+            entries.append((h, (j + 1, k + 1), total.is_zero()))
+    return entries
 
 
 def families(corpus, mutants, random_graph):
     """The corpus, its drop-one and duplicate-one mutants, the seed-7
-    partition with the lemma-8 false alarm, and transversal partitions of
-    fixed-seed random subgroups of index 16, 24 and 32."""
+    partition (whose members 1 and 3 share a denominator factor with poles
+    off the circle |z| = 1/n), and transversal partitions of fixed-seed
+    random subgroups of index 16, 24 and 32."""
     out = {}
     for key, spec in corpus.items():
         out[key] = spec
@@ -130,17 +109,48 @@ def test_coefficient_identity_matches_matrix_powers(family_specs):
     assert outcomes == {True, False}
 
 
-def test_lemma8_matches_per_pair_gcds(family_specs):
-    shared_den = distinct_dens = 0
+def test_lemma8_matches_genfunc_residues(family_specs):
+    outcomes = set()
     for key, spec in family_specs.items():
-        reports = _member_reports(spec.members)
-        result = _lemma8_clauses(reports)
-        assert result == lemma8_by_pairs(reports), key
-        for entry in result["entries"]:
-            j, k = entry["pair"]
-            if reports[j - 1].genfunc.den == reports[k - 1].genfunc.den:
-                shared_den += 1
+        result = _lemma8_clauses(_member_reports(spec.members))
+        entries = [(e["period"], e["pair"], e["ok"]) for e in result["entries"]]
+        assert entries == lemma8_by_residues(spec), key
+        outcomes.update(ok for _, _, ok in entries)
+    # the mutants are not partitions, so some pairs fail to cancel
+    assert outcomes == {True, False}
+
+
+def closed_form_matches(reports, n):
+    """Compare the residue -zeta_h^(l + 1) / (n d) that the closed form gives
+    at zeta_h / n when h divides the period, and no pole otherwise, with
+    residue_at for h = 2..12; returns the numbers of poles and non-poles."""
+    poles = non_poles = 0
+    for r in reports:
+        for h in range(2, 13):
+            value = residue_at(r.genfunc, h, 1, n)
+            if r.period % h:
+                assert value is None, (r, h)
+                non_poles += 1
             else:
-                distinct_dens += 1
-    # both ways a pair can hold an exclusive factor occur
-    assert shared_den > 0 and distinct_dens > 0
+                expected = CycloNumber.zeta_power(h, r.cyclic_class + 1)
+                assert value == expected * Fraction(-1, n * r.index), (r, h)
+                poles += 1
+    return poles, non_poles
+
+
+def test_closed_form_residues_match_genfunc_route(graph_family):
+    counts = [0, 0]
+    for rank in (1, 2, 3):
+        for depth in range(1, 9):
+            for seed in range(1, 9):
+                members = generate_partition(rank, depth, seed).members
+                for i, c in enumerate(closed_form_matches(_member_reports(members), rank)):
+                    counts[i] += c
+    assert counts == [2351, 15788]
+    # the class is measured from the basepoint, which the corpus always
+    # puts at vertex 1: move it to every vertex of the graph zoo
+    for graph in graph_family.values():
+        for basepoint in range(2, graph.d + 1):
+            moved = from_permutations(graph.rank, graph.action, basepoint)
+            members = [coset(moved, t) for t in transversal(moved)]
+            closed_form_matches(_member_reports(members), graph.rank)

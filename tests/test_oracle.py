@@ -31,7 +31,7 @@ from cosetpart.partition import (
     z_to_schreier,
 )
 from cosetpart.ratfunc import genfunc, rational, series_from_matrix
-from cosetpart.schreier import coset, from_permutations, subgroup_coset
+from cosetpart.schreier import coset, from_permutations, subgroup_coset, transversal
 from cosetpart.spectral import period
 
 
@@ -155,12 +155,16 @@ def test_evaluation_matches_reference(graph_family):
                 assert pole_order(f, h, m, n) == pole_order_by_derivatives(f, h, m, n)
 
 
-def test_residues_match_reference_on_corpus(corpus):
+def test_residues_match_reference_on_corpus(corpus, random_graph):
     compared = 0
     for key, spec in corpus.items():
         for h in sorted({p for p in member_periods(spec) if p > 1}):
             compared += _check_residues_against_reference(spec, h)
     assert compared > 0
+    # every coset of a period-2 subgroup of index 40 has a pole at -1/2
+    graph = random_graph(40, 1, 2)
+    spec = PartitionSpec(2, tuple(coset(graph, t) for t in transversal(graph)))
+    assert _check_residues_against_reference(spec, 2) == 40
 
 
 def test_nonzero_residue_sums_match_reference(fig1_graph):

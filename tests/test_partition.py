@@ -155,44 +155,37 @@ def test_residue_sum_examples(mod2_partition, fig1_transversal_partition):
 
 def test_lemma8_examples(mod2_partition, fig1_transversal_partition):
     l8 = lemma8_diagnostic(mod2_partition)
-    assert len(l8["entries"]) == 1
-    entry = l8["entries"][0]
-    assert entry["pair"] == (1, 2)
-    assert entry["zero_multiplicities"] == (0, 0)
-    assert entry["hypothesis_met"] and entry["indices_equal"] and entry["ok"]
-    # four members attain every pole class: no exclusive pair, no entries
+    assert l8["entries"] == [
+        {"period": 2, "pair": (1, 2), "indices": (2, 2), "classes": (0, 1), "ok": True}
+    ]
+    assert l8["all_pass"]
+    # four members attain every pole class: no pair, no entries
     l8 = lemma8_diagnostic(fig1_transversal_partition)
     assert l8["entries"] == [] and l8["all_pass"]
 
 
 def test_lemma8_noninvertible_pair():
-    # kernel of a -> 1, b -> 0 in Z/2: A = [[1,1],[1,1]], q = 1 - 2z, so the
-    # zero eigenvalue multiplicity equals the period 1 for both members
+    # kernel of a -> 1, b -> 0 in Z/2: A = [[1,1],[1,1]], q = 1 - 2z; both
+    # members have period 1, so no h > 1 divides a period and there is no
+    # entry
     graph = from_permutations(2, [(2, 1), (1, 2)])
     spec = transversal_partition(graph)
+    assert member_periods(spec) == [1, 1]
     l8 = lemma8_diagnostic(spec)
-    assert len(l8["entries"]) == 1
-    entry = l8["entries"][0]
-    assert entry["zero_multiplicities"] == (1, 1)
-    assert entry["periods"] == (1, 1)
-    assert entry["hypothesis_met"] and entry["indices_equal"] and entry["ok"]
+    assert l8["entries"] == [] and l8["all_pass"]
 
 
 def test_lemma8_seed7_entries():
-    # a verified partition, yet its pair (1, 3) fails the index equality:
-    # their exclusive shared factor is 1 + 3z^2, whose poles lie on
-    # |z| = 1/sqrt(3), not at a scaled root of unity
+    # members 1 and 2 alone have even period; member 3 has period 1, so the
+    # factor 1 + 3z^2 that members 1 and 3 share (poles on |z| = 1/sqrt(3),
+    # off the circle |z| = 1/n) yields no entry
     l8 = lemma8_diagnostic(generate_partition(2, 3, 7))
-    assert [e["pair"] for e in l8["entries"]] == [(1, 2), (1, 3)]
-    entry = l8["entries"][1]
-    assert entry["periods"] == (2, 1)
-    assert entry["zero_multiplicities"] == (2, 1)
-    assert entry["indices"] == (12, 6)
-    assert entry["hypothesis_met"] and not entry["ok"]
-    assert not l8["all_pass"]
+    assert l8["entries"] == [
+        {"period": 2, "pair": (1, 2), "indices": (12, 12), "classes": (0, 1), "ok": True}
+    ]
+    assert l8["all_pass"]
 
 
-@pytest.mark.xfail(strict=True, reason="lemma 8 as checked flags a verified partition")
 def test_seed7_partition_passes_every_check():
     assert analyze(generate_partition(2, 3, 7)).all_checks_pass
 
@@ -410,10 +403,6 @@ def test_properties_hold_on_corpus(corpus):
                     assert residue_sum_check(spec, h, m).is_zero(), (key, h, m)
 
 
-# the seed-7 false alarm above, carried along as the refinement deepens
-LEMMA8_FALSE_ALARMS = {(2, depth, 7) for depth in range(3, 13)}
-
-
 def test_properties_hold_on_wide_grid():
     for rank in (1, 2, 3):
         for depth in range(1, 13):
@@ -426,7 +415,7 @@ def test_properties_hold_on_wide_grid():
                 assert all(e["is_zero"] for e in report.residue_sums), key
                 assert report.theorem1["all_pass"], key
                 assert report.theorem2["all_pass"], key
-                assert report.lemma8["all_pass"] or key in LEMMA8_FALSE_ALARMS, key
+                assert report.lemma8["all_pass"], key
 
 
 def test_analyze_on_partition(mod2_partition):

@@ -54,7 +54,7 @@ def test_char_data_examples(fig1_graph, mod2_graph):
     assert cd.reciprocal_charpoly == IntPolynomial([1, 0, 0, 0, -16])
     assert cd.period == 4
     assert cd.zero_multiplicity == 0
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         cd = char_data(((n,),))
         assert cd.reciprocal_charpoly == IntPolynomial([1, -n])
     cd = char_data(transition_matrix(mod2_graph))
