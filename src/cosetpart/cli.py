@@ -7,9 +7,9 @@ Commands:
   generate          emit a deterministic corpus partition file
 
 Exit codes: 0 success and all checks pass; 1 operational error (unreadable
-or malformed input); 2 not a partition / infinite index; 3 some theorem
-instance or cross-check failed, which would contradict the theory and
-deserves a close look.
+or malformed input, unwritable --out); 2 not a partition / infinite index;
+3 some theorem instance or cross-check failed, which would contradict the
+theory and deserves a close look.
 """
 
 from __future__ import annotations
@@ -41,11 +41,21 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+class WriteFailed(Exception):
+    """An output file could not be written: (path, reason)."""
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteFailed(path, exc.strerror or str(exc)) from exc
+
+
 def _emit(obj: dict, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        _write_text(out_path, json.dumps(obj, indent=2) + "\n")
 
 
 def _show_word(word, rank) -> str:
@@ -239,8 +249,7 @@ def cmd_generate(args) -> int:
     obj = formats.partition_spec_to_json(spec)
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(
             f"wrote partition of F_{args.rank} with {len(spec.members)} members "
             f"to {args.out}"
@@ -293,6 +302,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except WriteFailed as exc:
+        path, reason = exc.args
+        print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return 1

@@ -7,6 +7,10 @@ silent truncation.
 Generating functions are recomputed from cofactors: the numerator is a
 signed minor of I - zA, evaluated at integer points by fraction-free
 Bareiss elimination and interpolated.
+The reciprocal characteristic polynomial det(I - zA) is recomputed by
+the Faddeev-LeVerrier recurrence on the whole matrix, entry by entry
+(reciprocal_charpoly_by_faddeev), the reference for spectral's packed
+power sums.
 Polynomial gcds are recomputed by primitive-PRS Euclid alone, without
 poly_gcd's GCDHEU evaluation points.
 Residues at the scaled roots of unity are recomputed the direct way:
@@ -228,3 +232,35 @@ def poly_gcd_by_prs(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         return -p if p and p.coeffs[-1] < 0 else p
     a = _prs_gcd(primitive_part(f), primitive_part(g)) * math.gcd(content(f), content(g))
     return a if a.coeffs[-1] > 0 else -a
+
+
+def reciprocal_charpoly_by_faddeev(matrix) -> IntPolynomial:
+    """det(I - zA) for any square integer matrix by the Faddeev-LeVerrier
+    recurrence M_k = A (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k: the
+    reference for spectral.char_data's packed power sums.
+
+    det(lambda I - A) = lambda^d + c_1 lambda^(d-1) + ... + c_d, hence
+    det(I - zA) = 1 + c_1 z + ... + c_d z^d.  Each product A M is a sum of
+    scaled rows of M, one per nonzero of the row of A.
+    """
+    d = len(matrix)
+    nonzeros = [[(t, a) for t, a in enumerate(row) if a] for row in matrix]
+    coeffs = [1]
+    m = [list(row) for row in matrix]
+    for k in range(1, d + 1):
+        tr = sum(m[i][i] for i in range(d))
+        c, rem = divmod(-tr, k)
+        assert rem == 0, "Faddeev-LeVerrier trace division must be exact"
+        coeffs.append(c)
+        if k == d:
+            break
+        for i in range(d):
+            m[i][i] += c
+        product = []
+        for row in nonzeros:
+            acc = [0] * d
+            for t, a in row:
+                acc = [x + a * y for x, y in zip(acc, m[t])]
+            product.append(acc)
+        m = product
+    return IntPolynomial(coeffs)

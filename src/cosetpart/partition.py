@@ -34,6 +34,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclo import CycloNumber
 from .poly import IntPolynomial
@@ -47,7 +48,13 @@ from .schreier import (
     transversal,
     trivial_graph,
 )
-from .spectral import SpectralSummary, char_data, period, transition_matrix
+from .spectral import (
+    SpectralSummary,
+    char_data,
+    cyclic_structure,
+    period,
+    transition_matrix,
+)
 from .words import Word, check_rank, concat
 
 IS_PARTITION = "IsPartition"
@@ -350,6 +357,29 @@ def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
     }
 
 
+class CyclicRecord(NamedTuple):
+    """What the closed-form residues and lemma 8 read of a member; a
+    MemberReport carries the same three fields."""
+
+    index: int
+    period: int
+    cyclic_class: int  # level of the vertex from the basepoint, mod period
+
+
+def _cyclic_class(member: Coset, h: int, classes: tuple[int, ...]) -> int:
+    return (classes[member.vertex - 1] - classes[member.graph.basepoint - 1]) % h
+
+
+def _cyclic_records(members) -> list[CyclicRecord]:
+    """Index, period and cyclic class of every member, from the memoised
+    BFS of its graph: no characteristic polynomial, no generating function."""
+    records = []
+    for member in members:
+        h, classes = cyclic_structure(member.graph)
+        records.append(CyclicRecord(member.graph.d, h, _cyclic_class(member, h, classes)))
+    return records
+
+
 def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     """Exact sum, over the members whose generating function has a pole at
     z0 = zeta_h^m / n, of the residues there.
@@ -357,15 +387,15 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     Zero on genuine partitions whenever h > 1; for h = 1 the point 1/n is
     a pole of 1/(1-nz) itself and the sum is its residue -1/n.  Each
     residue comes in closed form from the member's index, period and
-    cyclic class (see _residue_sum).
+    cyclic class (see _residue_sum), read from one memoised BFS per graph.
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
-    return _residue_sum(_member_reports(spec.members), spec.rank, h, m)
+    return _residue_sum(_cyclic_records(spec.members), spec.rank, h, m)
 
 
-def _residue_sum(reports: list[MemberReport], n: int, h: int, m: int) -> CycloNumber:
-    """residue_sum_check on member reports: -1/(n d_i) bucketed at the
+def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> CycloNumber:
+    """residue_sum_check on member records: -1/(n d_i) bucketed at the
     exponent m (l_i + 1) mod h over the members with h | h_i, then one
     reduction mod Phi_h.
 
@@ -404,11 +434,11 @@ def lemma8_diagnostic(spec: PartitionSpec) -> dict:
     be consulted; the checker asserts the statement proved here.
     """
     _require_partition(spec)
-    return _lemma8_clauses(_member_reports(spec.members))
+    return _lemma8_clauses(_cyclic_records(spec.members))
 
 
-def _lemma8_clauses(reports: list[MemberReport]) -> dict:
-    """lemma8_diagnostic on the member reports of a verified partition;
+def _lemma8_clauses(reports: list[CyclicRecord]) -> dict:
+    """lemma8_diagnostic on the member records of a verified partition;
     entries in increasing h, classes reduced mod h."""
     periods = {r.period for r in reports}
     entries = []
@@ -734,12 +764,10 @@ class AnalysisReport:
 
 
 def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
-    classes = summary.cyclic_classes
     return MemberReport(
         index=member.graph.d,
         period=summary.period,
-        cyclic_class=(classes[member.vertex - 1] - classes[member.graph.basepoint - 1])
-        % summary.period,
+        cyclic_class=_cyclic_class(member, summary.period, summary.cyclic_classes),
         zero_multiplicity=summary.zero_multiplicity,
         reciprocal_charpoly=summary.reciprocal_charpoly,
         genfunc=member_genfunc(member),

@@ -4,18 +4,21 @@ The transition matrix A of a Schreier graph counts positive-letter edges
 between cosets; rows and columns all sum to the rank n, the digraph is
 strongly connected, and n is the Perron-Frobenius eigenvalue.  The
 characteristic data is kept exact: q(z) = det(I - zA) as an integer
-polynomial, computed by the Faddeev-LeVerrier recurrence (all divisions
-are exact over the integers).  Each row of A has at most n nonzero
-entries, so every product A * M in the recurrence is a sum of at most n
-scaled rows of M: O(n d^2) per step instead of O(d^3).  One BFS gives
-the period h and each vertex's cyclic class, its BFS level mod h; the
-eigenvalues of modulus n are n * omega for the h-th roots of unity omega,
-each simple, with eigenvectors omega^class (Perron-Frobenius).
+polynomial, from the power sums p_k = tr(A^k), k = 1..d, and Newton's
+identities (all divisions are exact over the integers).  Each row of A^k
+is packed into one Python integer, a fixed-width bit field per entry, so
+a row of A^k is the sum of at most n scaled packed rows of A^(k-1): every
+step is O(n d) big-integer additions, done in C, instead of O(n d^2)
+interpreted additions of single entries.  One BFS gives the period h and
+each vertex's cyclic class, its BFS level mod h; the eigenvalues of
+modulus n are n * omega for the h-th roots of unity omega, each simple,
+with eigenvectors omega^class (Perron-Frobenius).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,14 +92,21 @@ def _digraph_period(succ: list[list[int]]) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=PERIOD_CACHE_SIZE)
-def period(graph: SchreierGraph) -> int:
-    """Period of the transition matrix: gcd of all closed-walk lengths.
-    Memoised per graph, so members sharing a graph run one BFS."""
+def cyclic_structure(graph: SchreierGraph) -> tuple[int, tuple[int, ...]]:
+    """Period of the transition matrix and the cyclic class of every vertex
+    (0-based tuple, classes measured from vertex 1), from one BFS over the
+    letter edges.  Memoised per graph, so members sharing a graph run one
+    BFS; the classes equal char_data's, with no characteristic polynomial."""
     succ = [[] for _ in range(graph.d)]
     for perm in graph.action:
         for v, w in enumerate(perm, start=1):
             succ[v - 1].append(w - 1)
-    return _digraph_period(succ)[0]
+    return _digraph_period(succ)
+
+
+def period(graph: SchreierGraph) -> int:
+    """Period of the transition matrix: gcd of all closed-walk lengths."""
+    return cyclic_structure(graph)[0]
 
 
 @dataclass(frozen=True)
@@ -110,36 +120,50 @@ class SpectralSummary:
 
 
 def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
-    # Faddeev-LeVerrier: M_k = A(M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k.
-    # det(lambda I - A) = lambda^d + c_1 lambda^(d-1) + ... + c_d, hence
-    # det(I - zA) = 1 + c_1 z + ... + c_d z^d.
+    """q(z) = det(I - zA) = 1 + c_1 z + ... + c_d z^d for a nonnegative
+    integer matrix A, from the power sums p_k = tr(A^k) by Newton's
+    identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).
+
+    Row i of A^k is held as one integer, the sum of (A^k)_ij << (bits * j).
+    Let r be the largest row sum of A.  The entries of A^k are at most r^k:
+    with 1 the all-ones vector, A^k 1 <= r^k 1 entrywise by induction
+    (A^k 1 = A (A^(k-1) 1) <= r^(k-1) A 1 <= r^k 1, as A >= 0), and an
+    entry of the nonnegative A^k is at most its row sum.  For k <= d
+    every entry is thus below 2^(bits - 1), and so is every partial sum
+    while a row of A^k = A A^(k-1) is accumulated (its terms are
+    nonnegative), so no field ever carries into the next and every entry
+    is read back by a shift and a mask.
+    """
     d = len(matrix)
-    nonzeros = [[(t, a) for t, a in enumerate(row) if a] for row in matrix]
+    bits = (max(map(sum, matrix)) ** d).bit_length() + 1
+    mask = (1 << bits) - 1
+    terms = [[(t, a) for t, a in enumerate(row) if a] for row in matrix]
+    rows = [sum(a << (bits * t) for t, a in row) for row in terms]
     coeffs = [1]
-    m = [list(row) for row in matrix]
+    power_sums: list[int] = []
     for k in range(1, d + 1):
-        tr = sum(m[i][i] for i in range(d))
-        c, rem = divmod(-tr, k)
-        assert rem == 0, "Faddeev-LeVerrier trace division must be exact"
+        if k > 1:
+            # row i of A^k = sum over the nonzeros a_it of a_it * row t of A^(k-1)
+            product = []
+            for row in terms:
+                acc = 0
+                for t, a in row:
+                    acc += rows[t] if a == 1 else a * rows[t]
+                product.append(acc)
+            rows = product
+        power_sums.append(sum((row >> (bits * i)) & mask for i, row in enumerate(rows)))
+        # c_0 p_k + c_1 p_(k-1) + ... + c_(k-1) p_1, with c_0 = 1
+        c, rem = divmod(-sum(map(operator.mul, coeffs, reversed(power_sums))), k)
+        assert rem == 0, "Newton's identities: division by k must be exact"
         coeffs.append(c)
-        if k == d:
-            break
-        for i in range(d):
-            m[i][i] += c
-        product = []
-        for row in nonzeros:
-            acc = [0] * d
-            for t, a in row:
-                acc = [x + a * y for x, y in zip(acc, m[t])]
-            product.append(acc)
-        m = product
     return IntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=CHAR_DATA_CACHE_SIZE)
 def char_data(matrix: Matrix) -> SpectralSummary:
     """Period, q(z) = det(I - zA), the multiplicity of eigenvalue 0, and
-    the cyclic classes of the vertices, all from one BFS and one recurrence.
+    the cyclic classes of the vertices, all from one BFS and the packed
+    powers A, A^2, ..., A^d.
 
     Requires an irreducible nonnegative integer matrix (every transition
     matrix of a Schreier graph qualifies).

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -171,6 +172,28 @@ def test_directory_input_is_exit_1(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path)])
     assert rc == 1
     assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+
+def _out_commands(tmp_path):
+    """Every subcommand with a valid input, awaiting its --out PATH."""
+    return [
+        ["generate", "--rank", "2", "--depth", "1", "--seed", "1"],
+        ["subgroup", write(tmp_path, "ex1.json", EX1)],
+        ["analyze", write(tmp_path, "mod2.json", MOD2)],
+        ["zanalyze", write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})],
+    ]
+
+
+def test_unwritable_out_is_exit_1(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    for target, errno_ in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+        for argv in _out_commands(tmp_path):
+            capsys.readouterr()
+            rc = main(argv + ["--out", str(target)])
+            assert rc == 1, argv
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {target}: {os.strerror(errno_)}\n", argv
+    assert not missing.parent.exists()
 
 
 def test_bad_json_reports_line_and_column(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from cosetpart import partition, spectral
+from cosetpart import partition, ratfunc, spectral
 from cosetpart.cyclo import CycloNumber
 from cosetpart.oracle import partition_by_words
 from cosetpart.partition import (
@@ -255,7 +256,7 @@ def test_member_periods_run_once_per_modulus(monkeypatch):
 
     monkeypatch.setattr(spectral, "_digraph_period", counted)
     for classes in z_coverings()[-6:]:
-        period.cache_clear()
+        spectral.cyclic_structure.cache_clear()
         calls.clear()
         lifted = z_lift(classes)
         assert member_periods(lifted) == [d for d, _ in classes]
@@ -277,8 +278,40 @@ def test_analyze_looks_up_spectra_once_per_graph(monkeypatch, random_graph):
     spec = transversal_partition(graph)
     report = analyze(spec)
     assert report.all_checks_pass
-    lemma8_diagnostic(spec)
-    assert len(looked_up) == 2 and len(spec.members) == 12
+    lemma8_diagnostic(spec)  # reads the period BFS, not char_data
+    assert len(looked_up) == 1 and len(spec.members) == 12
+
+
+def test_residue_and_lemma8_wrappers_skip_spectra_and_genfuncs(
+    monkeypatch, corpus, random_graph, fig1_transversal_partition
+):
+    specs = list(corpus.values()) + [
+        generate_partition(2, 3, 7),
+        fig1_transversal_partition,
+        transversal_partition(random_graph(40, 1, 2)),
+    ]
+    expected = []
+    for spec in specs:
+        reports = partition._member_reports(spec.members)
+        sums = {
+            (h, m): partition._residue_sum(reports, spec.rank, h, m)
+            for h in range(1, 13)
+            for m in range(h)
+            if math.gcd(m, h) == 1
+        }
+        expected.append((sums, partition._lemma8_clauses(reports)))
+
+    def refuse(*args):
+        raise AssertionError("the closed form needs no q(z) and no genfunc")
+
+    for module in (partition, spectral):
+        monkeypatch.setattr(module, "char_data", refuse)
+    for module in (partition, ratfunc):
+        monkeypatch.setattr(module, "genfunc", refuse)
+    for spec, (sums, lemma8) in zip(specs, expected):
+        for (h, m), value in sums.items():
+            assert residue_sum_check(spec, h, m) == value
+        assert lemma8_diagnostic(spec) == lemma8
 
 
 def test_davenport_rado_examples():

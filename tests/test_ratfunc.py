@@ -13,7 +13,7 @@ from cosetpart.ratfunc import (
     series_from_matrix,
     walk_counts,
 )
-from cosetpart.spectral import char_data, period, transition_matrix
+from cosetpart.spectral import char_data, cyclic_structure, period, transition_matrix
 
 
 def test_intpoly_basics():
@@ -176,7 +176,7 @@ def test_genfunc_walks_once_per_start(random_graph):
 
 
 def test_caches_are_bounded():
-    for cached in (genfunc, _numerators, char_data, period, cyclotomic):
+    for cached in (genfunc, _numerators, char_data, cyclic_structure, cyclotomic):
         assert cached.cache_info().maxsize is not None
 
 

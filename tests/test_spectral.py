@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from cosetpart.oracle import reciprocal_charpoly_by_faddeev
 from cosetpart.poly import IntPolynomial
 from cosetpart.schreier import from_permutations
 from cosetpart.spectral import char_data, is_irreducible, period, transition_matrix
@@ -134,3 +137,50 @@ def test_no_root_inside_radius(graph_family):
         q = char_data(transition_matrix(graph)).reciprocal_charpoly
         roots = np.roots(list(reversed(q.coeffs)))
         assert min(abs(roots)) >= 1 / graph.rank - 1e-9
+
+
+def _irreducible_matrices(seed: int, count: int):
+    """Random irreducible nonnegative matrices of order 2..8 with entries
+    0..4, not row-stochastic up to scale: row sums differ.  Every other one
+    repeats a row, so 0 is an eigenvalue and deg q < d."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 8)
+        rows = [[rng.choice((0, 0, 1, 2, 4)) for _ in range(d)] for _ in range(d)]
+        if len(out) % 2:
+            rows[-1] = list(rows[0])
+        matrix = tuple(map(tuple, rows))
+        if len({sum(r) for r in matrix}) > 1 and is_irreducible(matrix):
+            out.append(matrix)
+    return out
+
+
+def _reference_matrices(graph_family, random_graph):
+    graphs = list(graph_family.values())
+    graphs += [random_graph(d, 1, h) for d in (16, 24, 32, 80) for h in (1, 2)]
+    # rank 3, two equal letters: entries 2, and 3 where c agrees with a
+    graphs.append(from_permutations(3, [(2, 3, 4, 5, 6, 7, 1)] * 2 + [(2, 1, 3, 5, 4, 7, 6)]))
+    matrices = [transition_matrix(g) for g in graphs]
+    matrices += _irreducible_matrices(5, 40)
+    matrices += [((n,),) for n in (0, 1, 2, 3, 7)]
+    # e J: (A^d)_ij = e^d d^(d-1), a factor d below the bound r^d = (e d)^d
+    matrices += [((e,) * d,) * d for d in (2, 5, 12, 40) for e in (1, 3)]
+    return matrices
+
+
+def test_charpoly_matches_faddeev_reference(graph_family, random_graph):
+    matrices = _reference_matrices(graph_family, random_graph)
+    assert any(len({sum(r) for r in m}) > 1 for m in matrices)
+    degree_drops = 0
+    for matrix in matrices:
+        q = char_data(matrix).reciprocal_charpoly
+        assert q == reciprocal_charpoly_by_faddeev(matrix), matrix
+        degree_drops += q.degree < len(matrix)
+    assert degree_drops >= 20
+
+
+def test_faddeev_reference_matches_laplace_cofactors():
+    for matrix in _irreducible_matrices(6, 30):
+        if len(matrix) <= 5:
+            assert reciprocal_charpoly_by_faddeev(matrix) == laplace_det_i_minus_za(matrix)
