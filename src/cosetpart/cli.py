@@ -215,7 +215,10 @@ def cmd_zanalyze(args) -> int:
     else:
         print("largest modulus is 1: repetition check vacuous")
 
-    # agreement with the general machinery on the lifted rank-1 spec
+    # agreement with the general machinery on the lifted rank-1 spec: its
+    # verdict comes from the residues read off the lift's cycles, so this
+    # checks the lift (cycles, periods, classes); the orbit walk is checked
+    # against the certificate in the tests
     lifted = z_lift(classes)
     lifted_verdict = verify_partition(lifted)
     periods = member_periods(lifted)

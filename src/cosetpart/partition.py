@@ -8,6 +8,9 @@ reachable tuple sits on exactly one member's accept vertex, and a
 violating tuple yields a certifying witness word.  A tuple holds one
 coordinate per distinct Schreier graph, so the walk's time and memory are
 linear in the orbit size times the number of distinct graphs, not members.
+In rank 1 the orbit is one cycle of lcm(d_i) tuples and the walk is the
+residue scan of a covering system of Z, so verify_partition decides it
+with z_verify's certificate instead, on the residues read off each cycle.
 
 On genuine partitions the checkers test the consequences the theory
 predicts: the generating functions sum to 1/(1-nz) with the counting
@@ -119,8 +122,28 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     number of distinct graphs; a witness word is read back along the
     parent pointers only when a defect is found.  Witness words are
     shortest, ties broken shortlex.
+
+    Rank 1 skips the walk.  Each graph is one d-cycle, and after k steps
+    the single letter has moved the basepoint onto member i's vertex iff
+    k = r_i (mod d_i), r_i being the member's cyclic class: the number of
+    steps from the basepoint to its vertex, read from the memoised
+    cyclic_structure of its graph.  The walk would scan k = 0, 1, 2, ...
+    for the first tuple not on exactly one member, which is z_verify's
+    scan of the classes d_i Z + r_i; so the certificate decides, and a
+    defect x becomes the witness a^x, the same verdict the walk returns.
     """
     members = spec.members
+    if spec.rank == 1:
+        classes = []
+        for m in members:
+            d, levels = cyclic_structure(m.graph)
+            classes.append((d, _cyclic_class(m, d, levels)))
+        verdict = _z_verdict(classes)
+        if verdict.ok:
+            return verdict
+        return PartitionVerdict(
+            verdict.status, (1,) * verdict.witness, verdict.overlap_indices
+        )
     # 0-based vertices throughout; graphs keyed by value in first-appearance
     # order, slot[g] is the coordinate of every member carried by g
     slot: dict[SchreierGraph, int] = {}
@@ -478,31 +501,85 @@ def normalize_z_classes(classes) -> tuple[tuple[int, int], ...]:
 
 
 def z_verify(classes) -> PartitionVerdict:
-    """Exact check that residue classes {d_i Z + r_i} partition Z.
+    """Exact check that residue classes {d_i Z + r_i} partition Z; a
+    defect's witness is the smallest violating integer x >= 0, and an
+    overlap names the first two classes containing it (see _z_verdict)."""
+    return _z_verdict(normalize_z_classes(classes))
+
+
+def _z_verdict(classes) -> PartitionVerdict:
+    """z_verify on classes (d, r) with 0 <= r < d.
 
     Certificate, O(s^2) in the number of classes: the classes are pairwise
     disjoint (r_i and r_j differ mod gcd(d_i, d_j)) and their densities
     sum to 1 (sum_i L/d_i = L for L = lcm(d_i)), so mod L they cover L
-    distinct residues, i.e. all of them.  Only when the certificate fails
-    are the residues mod L scanned, to return the smallest violating
-    integer as the witness.
+    distinct residues, i.e. all of them.
+
+    When it fails, the smallest overlap is the least common element of
+    some pair with r_i = r_j (mod g), g = gcd(d_i, d_j): by the Chinese
+    remainder theorem x = r_i + d_i t with t = (r_j - r_i)/g times the
+    inverse of d_i/g mod d_j/g, the least such x >= 0.  The smallest gap
+    is searched only below that overlap (below L if there is none), by
+    _first_gap.  Like the residue scan it replaces, that search is still
+    linear in the worst case, one progression per integer below the first
+    overlap, but it skips every progression one class covers whole:
+    {2Z, 2Z + 1, (10^9 + 1)Z + 10^9} is decided at once, an overlap at
+    10^9, where the scan took 10^9 steps.
     """
-    classes = normalize_z_classes(classes)
-    lcm = math.lcm(*(d for d, _ in classes))
-    if sum(lcm // d for d, _ in classes) == lcm and all(
-        (r - r2) % math.gcd(d, d2)
-        for (d, r), (d2, r2) in itertools.combinations(classes, 2)
-    ):
-        return PartitionVerdict(IS_PARTITION)
-    for x in range(lcm):
-        covering = [i for i, (d, r) in enumerate(classes, start=1) if x % d == r]
-        if not covering:
-            return PartitionVerdict(GAP, witness=x)
-        if len(covering) > 1:
-            return PartitionVerdict(
-                OVERLAP, witness=x, overlap_indices=(covering[0], covering[1])
-            )
-    raise AssertionError("residue scan found no defect the certificate missed")
+    first_overlap = None
+    for (d, r), (d2, r2) in itertools.combinations(classes, 2):
+        g = math.gcd(d, d2)
+        if (r2 - r) % g == 0:
+            m = d2 // g
+            x = r + d * ((r2 - r) // g * pow(d // g, -1, m) % m)
+            if first_overlap is None or x < first_overlap:
+                first_overlap = x
+    if first_overlap is None:
+        lcm = math.lcm(*(d for d, _ in classes))
+        if sum(lcm // d for d, _ in classes) == lcm:
+            return PartitionVerdict(IS_PARTITION)
+        # disjoint classes of density below 1: a gap lies below L
+        gap = _first_gap(classes, lcm)
+        assert gap is not None, "disjoint classes of density < 1 leave a gap"
+        return PartitionVerdict(GAP, witness=gap)
+    gap = _first_gap(classes, first_overlap)
+    if gap is not None:
+        return PartitionVerdict(GAP, witness=gap)
+    covering = [i for i, (d, r) in enumerate(classes, start=1) if first_overlap % d == r]
+    return PartitionVerdict(
+        OVERLAP, witness=first_overlap, overlap_indices=(covering[0], covering[1])
+    )
+
+
+def _first_gap(classes, bound: int) -> int | None:
+    """The least x in [0, bound) in none of the classes, or None.
+
+    Depth-first over progressions a + mZ (0 <= a < m, so a is the least
+    element >= 0), from Z itself: a progression that no class meets is a
+    gap from a on; one that a class contains is covered; otherwise it
+    splits into q progressions mod m q, q = d / gcd(d, m) for the meeting
+    class that needs the fewest, in increasing a.  Every split puts one
+    more class's modulus into m, so m divides L = lcm(d_i), the leaves are
+    disjoint residues mod L, and a branch whose a is not below the best
+    gap so far is pruned.
+    """
+    best = bound
+    stack = [(iter((0,)), 1)]  # per depth: the next progressions' a, and m
+    while stack:
+        starts, m = stack[-1]
+        a = next(starts, bound)
+        if a >= best:
+            # the remaining siblings start later still
+            stack.pop()
+            continue
+        meeting = [d for d, r in classes if (a - r) % math.gcd(d, m) == 0]
+        if not meeting:
+            best = a
+            stack.pop()
+        elif all(m % d for d in meeting):
+            q = min(d // math.gcd(d, m) for d in meeting)
+            stack.append((iter(range(a, a + m * q, m)), m * q))
+    return best if best < bound else None
 
 
 def _z_cycle(d: int) -> SchreierGraph:

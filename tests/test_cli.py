@@ -144,6 +144,17 @@ def test_zanalyze_gap_is_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_zanalyze_late_overlap_is_exit_2(tmp_path):
+    out = tmp_path / "late_report.json"
+    late = {"moduli": [[2, 0], [2, 1], [1000000001, 1000000000]]}
+    assert main(["zanalyze", write(tmp_path, "late.json", late), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["partition"] == {
+        "status": "Overlap",
+        "witness": 1000000000,
+        "overlap_indices": [1, 3],
+    }
+
+
 def test_generate_deterministic_and_valid(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["generate", "--rank", "2", "--depth", "2", "--seed", "7"]

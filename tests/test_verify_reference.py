@@ -9,10 +9,18 @@ overlap indices) as both on valid and defective families.  Short
 witnesses are also checked from first principles: no shorter positive word, and no
 shortlex-earlier one of the same length, is a defect.  `z_verify` is
 checked against a membership count over the residues mod lcm.
+
+In rank 1 `verify_partition` reads residues off the cycles and decides
+with the covering certificate, so the references are the only walks over
+rank-1 orbits here; the rank-2 lift of a covering, both letters acting as
+the d-cycle, keeps the product-orbit walk checked against the certificate.
 """
 
+import itertools
 import math
 import operator
+import random
+import time
 import tracemalloc
 from collections import deque
 
@@ -181,6 +189,100 @@ def test_lifted_verdicts_match_reference_and_z_verify(mutants):
     assert statuses == {IS_PARTITION, GAP, OVERLAP}
 
 
+def relabelled_cycle_family(rng):
+    """A rank-1 family on randomly relabelled d-cycles with random
+    basepoints: a covering of Z, each class (d, r) carried by a fresh
+    labelling of the d-cycle, its coset r steps past the basepoint."""
+    classes = generate_z_covering(rng.randrange(1, 6), rng.randrange(1000))
+    members = []
+    for d, r in classes:
+        labels = rng.sample(range(1, d + 1), d)  # labels[k]: k steps past the basepoint
+        perm = [0] * d
+        for k in range(d):
+            perm[labels[k] - 1] = labels[(k + 1) % d]
+        graph = SchreierGraph((tuple(perm),), labels[0])
+        members.append(coset(graph, (1,) * r))
+    return tuple(members)
+
+
+def shifted(members):
+    """Every member moved one step along its cycle."""
+    return [
+        members[:i] + (coset(m.graph, m.rep + (1,)),) + members[i + 1 :]
+        for i, m in enumerate(members)
+    ]
+
+
+def test_rank1_verdicts_on_relabelled_cycles(mutants):
+    rng = random.Random(10)
+    statuses = set()
+    basepoints = set()
+    for _ in range(40):
+        members = relabelled_cycle_family(rng)
+        basepoints.update(m.graph.basepoint for m in members)
+        for family in [members, *mutants(members), *shifted(members)]:
+            spec = PartitionSpec(1, family)
+            assert_same_verdict(spec)
+            statuses.add(verify_partition(spec).status)
+    assert statuses == {IS_PARTITION, GAP, OVERLAP}
+    assert len(basepoints) > 1
+
+
+def z_lift_to_f2(classes):
+    """The covering lifted to F_2 with both letters acting as the d-cycle:
+    the product orbit is the rank-1 chain of lcm tuples, walked by BFS."""
+    cycles = {}
+    for d, _ in classes:
+        cycle = tuple(v % d + 1 for v in range(1, d + 1))
+        cycles.setdefault(d, SchreierGraph((cycle, cycle)))
+    return PartitionSpec(
+        2, tuple(coset(cycles[d], (1,) * (r % d)) for d, r in classes)
+    )
+
+
+def assert_f2_lift_matches_certificate(classes):
+    verdict = z_verify(classes)
+    lifted = verify_partition(z_lift_to_f2(classes))
+    if verdict.ok:
+        assert lifted == verdict
+    else:
+        assert lifted == PartitionVerdict(
+            verdict.status, (1,) * verdict.witness, verdict.overlap_indices
+        ), classes
+    return verdict.status
+
+
+def test_f2_lift_walk_matches_z_verify(mutants):
+    statuses = {assert_f2_lift_matches_certificate(c) for c in z_families(mutants)}
+    assert statuses == {IS_PARTITION, GAP, OVERLAP}
+
+
+def test_z_verify_matches_count_on_all_small_families():
+    # every ordered family of one to three classes with moduli up to 6
+    classes = [(d, r) for d in range(1, 7) for r in range(d)]
+    statuses = set()
+    for size in (1, 2, 3):
+        for family in itertools.product(classes, repeat=size):
+            verdict = z_verify(family)
+            assert verdict == z_by_count(family), family
+            statuses.add(verdict.status)
+    assert statuses == {IS_PARTITION, GAP, OVERLAP}
+    # the gap search meets 3 first in the subtree of 0 mod 3, yet 1 is smaller
+    assert z_verify(((3, 2), (6, 0))) == PartitionVerdict(GAP, witness=1)
+
+
+def test_z_verify_late_overlap_is_fast():
+    # 2Z and 2Z + 1 cover Z, so no gap precedes the first overlap at 10^9
+    n = 10**9 + 1
+    classes = ((2, 0), (2, 1), (n, n - 1))
+    start = time.perf_counter()
+    verdict = z_verify(classes)
+    assert time.perf_counter() - start < 1.0
+    assert verdict == PartitionVerdict(OVERLAP, witness=10**9, overlap_indices=(1, 3))
+    # without 2Z + 1 the gap at 1 comes first
+    assert z_verify(((2, 0), (n, n - 1))) == PartitionVerdict(GAP, witness=1)
+
+
 def copy_graph(graph):
     """An equal graph that is a distinct object, with distinct tuples."""
     return SchreierGraph(tuple(tuple(list(p)) for p in graph.action), graph.basepoint)
@@ -271,7 +373,9 @@ def test_verify_partition_memory_is_linear_in_the_orbit():
         for c in (generate_z_covering(10, seed) for seed in range(1, 100))
         if math.lcm(*(d for d, _ in c)) == 7200
     )
-    spec = z_lift(classes)
+    # rank 2, so the product-orbit walk runs: the orbit is the rank-1 chain
+    # of 7200 tuples, since both letters act alike
+    spec = z_lift_to_f2(classes)
     tracemalloc.start()
     try:
         verdict = verify_partition(spec)
@@ -279,6 +383,8 @@ def test_verify_partition_memory_is_linear_in_the_orbit():
     finally:
         tracemalloc.stop()
     assert verdict.status == IS_PARTITION
-    # the orbit is a chain of 7200 tuples; storing each tuple's whole
-    # witness word took about 200 MB on this input
+    # storing each tuple's whole witness word took about 200 MB on this input
     assert peak < 32 * 2**20, peak
+    assert assert_f2_lift_matches_certificate(classes) == IS_PARTITION
+    for mutant in (classes[1:], classes + classes[-1:]):
+        assert assert_f2_lift_matches_certificate(mutant) != IS_PARTITION
