@@ -6,10 +6,10 @@ Commands:
   zanalyze <file>   covering system of Z, plus the lifted rank-1 machinery
   generate          emit a deterministic corpus partition file
 
-Exit codes: 0 success and all checks pass; 1 operational error (unreadable
-or malformed input, unwritable --out); 2 not a partition / infinite index;
-3 some theorem instance or cross-check failed, which would contradict the
-theory and deserves a close look.
+Exit codes: 0 success and all checks pass; 1 operational error (usage
+error, unreadable or malformed input, unwritable --out); 2 not a
+partition / infinite index; 3 some theorem instance or cross-check
+failed, which would contradict the theory and deserves a close look.
 """
 
 from __future__ import annotations
@@ -268,8 +268,17 @@ def _add_common(sub):
     sub.add_argument("--out", metavar="PATH", help="write the JSON report here")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, an operational error: argparse's own exit 2
+    would read as "not a partition".  Subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosetpart",
         description="Schreier automata, exact spectra, and coset-partition checks "
         "for free groups",

@@ -3,7 +3,11 @@ rational functions at the scaled roots of unity z0 = zeta_h^m / n.
 
 The point z0 is always handled symbolically through the triple
 (h, m, n); numbers in Q(zeta_h) are rational-coefficient polynomials in
-zeta_h reduced modulo the h-th cyclotomic polynomial Phi_h.  A residue
+zeta_h reduced modulo the h-th cyclotomic polynomial Phi_h.  There is one
+reduction, over the integers: the coefficients are put over the lcm L of
+their denominators, the integer numerators are reduced modulo the monic
+Phi_h in Z[x], and the phi(h) remainders are divided by L once
+(CycloNumber.from_integers takes the numerators and L directly).  A residue
 N(z0)/D'(z0) takes three steps, none of them arithmetic in Q(zeta_h)
 term by term:
 
@@ -19,14 +23,16 @@ term by term:
 - Galois conjugation.  For m coprime to h, sigma_m: zeta_h -> zeta_h^m
   is an automorphism of Q(zeta_h) fixing Q.  Generating functions have
   rational coefficients, so the residue at zeta_h^m / n is sigma_m of the
-  residue at zeta_h / n (CycloNumber.conjugate), and a residue sum need
-  only be computed at m = 1.
+  residue at zeta_h / n (CycloNumber.conjugate, which returns a zero
+  unchanged), and a residue sum need only be computed at m = 1.
 
 partition reads the residues of a partition's members in closed form
-from their cyclic classes; the residues here, computed from the generating
-functions themselves, are the tests' independent route to the same
-values.  oracle keeps the direct route (Horner's rule in Q(zeta_h), pole
-order from successive derivatives) as a reference for this one.
+from their cyclic classes, as integer buckets over one common
+denominator, reduced once per period h and conjugated to the other m;
+the residues here, computed from the generating functions themselves,
+are the tests' independent route to the same values.  oracle keeps the
+direct route (Horner's rule in Q(zeta_h), pole order from successive
+derivatives) as a reference for this one.
 """
 
 from __future__ import annotations
@@ -66,6 +72,37 @@ def cyclotomic(h: int) -> IntPolynomial:
     return p
 
 
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
+def _phi_terms(h: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(h) and the nonzero terms (j, c_j), j < phi(h), of the monic Phi_h."""
+    coeffs = cyclotomic(h).coeffs
+    return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
+
+
+def _reduce(h: int, numerators, den: int) -> tuple[Fraction, ...]:
+    """Canonical coefficients of (sum_k numerators[k] zeta_h^k) / den: the
+    integers are reduced modulo the monic Phi_h in Z[x], using
+    zeta^phi = -sum_j c_j zeta^j, and the phi(h) remainders are divided by
+    den once."""
+    phi, terms = _phi_terms(h)
+    r = list(numerators)
+    for k in range(len(r) - 1, phi - 1, -1):
+        t = r[k]
+        if t:
+            base = k - phi
+            for j, c in terms:
+                r[base + j] -= t * c
+    del r[phi:]
+    r += [0] * (phi - len(r))
+    return tuple(Fraction(c, den) for c in r)
+
+
+def _common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over L, the lcm of the Fractions' denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _qtrim(c: list[Fraction]) -> list[Fraction]:
     while c and not c[-1]:
         c.pop()
@@ -99,13 +136,19 @@ class CycloNumber:
     __slots__ = ("h", "coeffs")
 
     def __init__(self, h: int, coeffs=()):
-        phi = cyclotomic(h).degree
-        c = [Fraction(x) for x in coeffs]
-        if len(c) >= phi + 1:
-            _, c = divmod_frac(c, cyclotomic(h).coeffs)
-        c += [Fraction(0)] * (phi - len(c))
+        numerators, den = _common_denominator([Fraction(x) for x in coeffs])
+        self._set(h, numerators, den)
+
+    @classmethod
+    def from_integers(cls, h: int, numerators, den: int = 1) -> "CycloNumber":
+        """(sum_k numerators[k] zeta_h^k) / den for integer numerators."""
+        x = cls.__new__(cls)
+        x._set(h, numerators, den)
+        return x
+
+    def _set(self, h: int, numerators, den: int) -> None:
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", _reduce(h, numerators, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
@@ -204,10 +247,13 @@ class CycloNumber:
         Q(zeta_h); m must be coprime to h."""
         if math.gcd(m, self.h) != 1:
             raise ValueError(f"m = {m} must be coprime to h = {self.h}")
-        out = [Fraction(0)] * self.h
-        for k, c in enumerate(self.coeffs):
+        if self.is_zero():
+            return self
+        numerators, den = _common_denominator(self.coeffs)
+        out = [0] * self.h
+        for k, c in enumerate(numerators):
             out[k * m % self.h] += c
-        return CycloNumber(self.h, out)
+        return CycloNumber.from_integers(self.h, out, den)
 
     def __repr__(self):
         return f"CycloNumber(h={self.h}, coeffs={[str(c) for c in self.coeffs]})"
@@ -239,7 +285,7 @@ def _root_order(h: int, m: int) -> int:
 
 
 def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
-    """Integer coefficients over zeta_h, reduced mod Phi_h, of
+    """Integer coefficients over zeta_h, bucketed by exponent mod h, of
     n^deg(p) * p(zeta_h^m / n)."""
     if h < 1:
         raise ValueError("order must be >= 1")
@@ -252,12 +298,12 @@ def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
         if c:
             buckets[k * m % h] += c * scale
         scale *= n
-    return divmod_frac(buckets, cyclotomic(h).coeffs)[1]
+    return buckets
 
 
 def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
     """p(zeta_h^m / n), exactly."""
-    return CycloNumber(h, [Fraction(c, n**p.degree) for c in _scaled_eval(p, h, m, n)])
+    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
 
 
 def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
@@ -277,7 +323,7 @@ def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | Non
         num = [c * n**shift for c in num]
     else:
         den = [c * n**-shift for c in den]
-    return CycloNumber(h, num) / CycloNumber(h, den)
+    return CycloNumber.from_integers(h, num) / CycloNumber.from_integers(h, den)
 
 
 def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:

@@ -36,7 +36,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclo import CycloNumber
@@ -418,9 +417,12 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
 
 
 def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> CycloNumber:
-    """residue_sum_check on member records: -1/(n d_i) bucketed at the
-    exponent m (l_i + 1) mod h over the members with h | h_i, then one
-    reduction mod Phi_h.
+    """residue_sum_check on member records.  Over the members with
+    h | h_i and L = lcm(n d_i) among them, the integers -L/(n d_i) are
+    bucketed at the exponent m (l_i + 1) mod h, then reduced once modulo
+    Phi_h and divided by L once (CycloNumber.from_integers).  analyze calls
+    this at m = 1 only, once per period h, and reads the other m coprime to
+    h as sigma_m conjugates of that sum (CycloNumber.conjugate).
 
     Member i, of index d_i, period h_i and cyclic class l_i (the level of
     its vertex from the basepoint, mod h_i), has p_i = e_b (I - zA)^-1 e_v.
@@ -434,11 +436,12 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> CycloNu
     P = (w^(c(u) - c(u')))_(u, u') / d_i and w = zeta_h^-m.  The residue is
     -z0 P_(b, v) = -zeta_h^(m (l_i + 1)) / (n d_i).
     """
-    buckets = [Fraction(0)] * h
-    for r in reports:
-        if r.period % h == 0:
-            buckets[m * (r.cyclic_class + 1) % h] -= Fraction(1, n * r.index)
-    return CycloNumber(h, buckets)
+    poles = [r for r in reports if r.period % h == 0]
+    den = math.lcm(*(n * r.index for r in poles))
+    buckets = [0] * h
+    for r in poles:
+        buckets[m * (r.cyclic_class + 1) % h] -= den // (n * r.index)
+    return CycloNumber.from_integers(h, buckets, den)
 
 
 def lemma8_diagnostic(spec: PartitionSpec) -> dict:
@@ -928,9 +931,11 @@ def analyze(
         theorem2 = _theorem2_clauses(periods, [r.index for r in members])
         lemma8 = _lemma8_clauses(members)
         for h in sorted({p for p in periods if p > 1}):
+            # sigma_m: zeta_h -> zeta_h^m carries the sum at m = 1 to the sum at m
+            first = _residue_sum(members, spec.rank, h, 1)
             for m in range(1, h):
                 if math.gcd(m, h) == 1:
-                    value = _residue_sum(members, spec.rank, h, m)
+                    value = first.conjugate(m)
                     residue_entries.append(
                         {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
                     )

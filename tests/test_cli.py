@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cosetpart import formats, partition
 from cosetpart.cli import main
 from cosetpart.partition import PartitionSpec, generate_partition
@@ -183,6 +185,27 @@ def test_directory_input_is_exit_1(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path)])
     assert rc == 1
     assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+
+def test_usage_errors_are_exit_1(tmp_path, capsys):
+    # exit 2 means "not a partition": a typo must not read as a verdict
+    path = write(tmp_path, "mod2.json", MOD2)
+    cases = [
+        ([], "required: command"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["analyze"], "required: input"),
+        (["analyze", path, "--series-depth", "x"], "invalid int value: 'x'"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cosetpart") and message in err, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cosetpart analyze")
 
 
 def _out_commands(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from cosetpart.cyclo import (
     pole_order,
     residue_simple,
 )
-from cosetpart.poly import IntPolynomial
+from cosetpart.poly import IntPolynomial, divmod_frac
 from cosetpart.ratfunc import genfunc, rational
 from cosetpart.spectral import period
 
@@ -45,6 +46,33 @@ def test_cyclo_number_field_operations():
         CycloNumber.zero(12).inverse()
     with pytest.raises(ValueError):
         x + CycloNumber.zero(5)
+
+
+def test_integer_reduction_matches_fraction_division():
+    # one integer reduction over the lcm of the denominators gives the
+    # remainder of Fraction polynomial division by Phi_h, coefficient for
+    # coefficient
+    rng = random.Random(11)
+    for h in (2, 4, 9, 12, 15, 20, 30):
+        phi = cyclotomic(h).degree
+        for _ in range(40):
+            length = rng.randint(0, 3 * h)
+            coeffs = [
+                Fraction(rng.randint(-30, 30), rng.choice([1, 2, -3, 4, -5, 7, 12]))
+                if rng.random() < 0.7
+                else Fraction(0)
+                for _ in range(length)
+            ]
+            rem = divmod_frac(coeffs, cyclotomic(h).coeffs)[1]
+            expected = tuple(rem) + (Fraction(0),) * (phi - len(rem))
+            assert CycloNumber(h, coeffs).coeffs == expected
+            assert all(type(c) is Fraction for c in CycloNumber(h, coeffs).coeffs)
+            # integer numerators over one (possibly negative) denominator
+            den = rng.choice([1, 6, -4, 35])
+            nums = [rng.randint(-50, 50) for _ in range(length)]
+            rem = divmod_frac([Fraction(x, den) for x in nums], cyclotomic(h).coeffs)[1]
+            expected = tuple(rem) + (Fraction(0),) * (phi - len(rem))
+            assert CycloNumber.from_integers(h, nums, den).coeffs == expected
 
 
 def test_zeta_power_reduction():

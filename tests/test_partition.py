@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,28 @@ def test_residue_sum_examples(mod2_partition, fig1_transversal_partition):
     assert residue_sum_check(whole, 1, 0) == CycloNumber.from_rational(1, Fraction(-1, 2))
     with pytest.raises(ValueError):
         residue_sum_check(mod2_partition, 4, 2)  # m not coprime to h
+
+
+def test_residue_sums_are_galois_conjugates():
+    # analyze reads the sum at m as sigma_m of the sum at m = 1; on a
+    # partition both are zero, so only records with nonzero sums exercise it
+    rng = random.Random(3)
+    nonzero = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        recs = []
+        for _ in range(rng.randint(1, 5)):
+            h_i = rng.choice([2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 20])
+            index = h_i * rng.randint(1, 3)
+            recs.append(partition.CyclicRecord(index, h_i, rng.randrange(h_i)))
+        periods = {r.period for r in recs}
+        for h in sorted({h for p in periods for h in range(2, p + 1) if p % h == 0}):
+            first = partition._residue_sum(recs, n, h, 1)
+            nonzero += not first.is_zero()
+            for m in range(1, h):
+                if math.gcd(m, h) == 1:
+                    assert partition._residue_sum(recs, n, h, m) == first.conjugate(m)
+    assert nonzero > 1500
 
 
 def test_lemma8_examples(mod2_partition, fig1_transversal_partition):
