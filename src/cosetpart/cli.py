@@ -262,8 +262,21 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--series-depth", type=int, default=20, metavar="K")
+def _depth(text: str) -> int:
+    """argparse type of --series-depth: a nonnegative integer, checked
+    before any command runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"depth must be >= 0, got {value}")
+    return value
+
+
+def _add_common(sub, series_depth: bool):
+    if series_depth:
+        sub.add_argument("--series-depth", type=_depth, default=20, metavar="K")
     sub.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
     sub.add_argument("--out", metavar="PATH", help="write the JSON report here")
 
@@ -287,17 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroup", help="analyze one finite-index subgroup")
     p.add_argument("input", help="subgroup JSON file")
-    _add_common(p)
+    _add_common(p, series_depth=True)
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("analyze", help="verify and analyze a coset partition")
     p.add_argument("input", help="partition JSON file")
-    _add_common(p)
+    _add_common(p, series_depth=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("zanalyze", help="analyze a covering system of Z")
     p.add_argument("input", help="Z-system JSON file")
-    _add_common(p)
+    # --oracle is accepted here but runs no cross-check yet
+    _add_common(p, series_depth=False)
     p.set_defaults(func=cmd_zanalyze)
 
     p = sub.add_parser("generate", help="emit a deterministic corpus partition")
@@ -322,7 +336,11 @@ def main(argv=None) -> int:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is None:
+            # a standard stream failed, e.g. stdout closed early by `| head`
+            print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        else:
+            print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(

@@ -34,9 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .cyclo import CycloNumber
 from .poly import IntPolynomial
@@ -44,6 +42,7 @@ from .ratfunc import ZERO, RationalFunction, genfunc, walk_counts
 from .schreier import (
     Coset,
     SchreierGraph,
+    _tuple_new,
     coset,
     resolve,
     subgroup_coset,
@@ -75,36 +74,41 @@ class NotAPartition(Exception):
         super().__init__(f"not a coset partition: {verdict.status}")
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(
+    namedtuple(
+        "PartitionVerdict",
+        "status witness overlap_indices",
+        defaults=(None, None),
+    )
+):
     """Outcome of a partition check.  For defects the witness is a word
     (or, for integer covering systems, the smallest violating integer)
     certified by membership tests; overlap_indices are the first two
-    members containing the witness."""
+    members containing the witness.  An immutable named tuple, equal to
+    the plain tuple of its fields."""
 
-    status: str
-    witness: object = None
-    overlap_indices: tuple[int, int] | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == IS_PARTITION
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A family of cosets over a common rank, candidates for a partition."""
+class PartitionSpec(namedtuple("PartitionSpec", "rank members")):
+    """A family of cosets over a common rank, candidates for a partition:
+    an immutable named tuple (rank, members), members a tuple of Cosets,
+    equal to the plain tuple of its fields."""
 
-    rank: int
-    members: tuple[Coset, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_rank(self.rank)
-        if not self.members:
+    def __new__(cls, rank, members):
+        check_rank(rank)
+        if not members:
             raise ValueError("a partition spec needs at least one member")
-        for i, member in enumerate(self.members, start=1):
-            if member.graph.rank != self.rank:
-                raise ValueError(f"member {i} has rank {member.graph.rank} != {self.rank}")
+        for i, member in enumerate(members, start=1):
+            if member.graph.rank != rank:
+                raise ValueError(f"member {i} has rank {member.graph.rank} != {rank}")
+        return _tuple_new(cls, (rank, members))
 
 
 def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
@@ -379,13 +383,13 @@ def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
     }
 
 
-class CyclicRecord(NamedTuple):
-    """What the closed-form residues and lemma 8 read of a member; a
-    MemberReport carries the same three fields."""
+class CyclicRecord(namedtuple("CyclicRecord", "index period cyclic_class")):
+    """What the closed-form residues and lemma 8 read of a member: its
+    index, its period and its cyclic class (the level of its vertex from
+    the basepoint, mod the period).  A MemberReport carries the same three
+    fields.  A named tuple, equal to the plain tuple of its fields."""
 
-    index: int
-    period: int
-    cyclic_class: int  # level of the vertex from the basepoint, mod period
+    __slots__ = ()
 
 
 def _cyclic_class(member: Coset, h: int, classes: tuple[int, ...]) -> int:
@@ -795,36 +799,35 @@ def generate_partition(rank: int, depth: int, seed: int) -> PartitionSpec:
 # full analysis
 
 
-@dataclass(frozen=True)
-class MemberReport:
-    """Everything computed for one member."""
+class MemberReport(
+    namedtuple(
+        "MemberReport",
+        "index period cyclic_class zero_multiplicity reciprocal_charpoly "
+        "genfunc vertex rep",
+    )
+):
+    """Everything computed for one member: as in CyclicRecord, then the
+    spectral data of its graph, its generating function, and the vertex
+    and representative word of its coset.  An immutable named tuple, equal
+    to the plain tuple of its fields."""
 
-    index: int
-    period: int
-    cyclic_class: int  # level of the vertex from the basepoint, mod period
-    zero_multiplicity: int
-    reciprocal_charpoly: IntPolynomial
-    genfunc: RationalFunction
-    vertex: int
-    rep: Word
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """All verdicts for a partition spec; reproducible from the inputs."""
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        "spec series_depth members verdict sum_identity_holds sum_residual "
+        "coefficient_identity_holds theorem1 theorem2 residue_sums lemma8 oracle",
+        defaults=(None,),
+    )
+):
+    """All verdicts for a partition spec; reproducible from the inputs.
+    theorem1, theorem2 and lemma8 are None when the spec is not a
+    partition, oracle unless asked for.  An immutable named tuple, equal to
+    the plain tuple of its fields."""
 
-    spec: PartitionSpec
-    series_depth: int
-    members: tuple[MemberReport, ...]
-    verdict: PartitionVerdict
-    sum_identity_holds: bool
-    sum_residual: RationalFunction
-    coefficient_identity_holds: bool
-    theorem1: dict | None
-    theorem2: dict | None
-    residue_sums: tuple[dict, ...]
-    lemma8: dict | None
-    oracle: dict | None = None
+    __slots__ = ()
 
     @property
     def all_checks_pass(self) -> bool:

@@ -18,26 +18,27 @@ itself; both must agree with genfunc.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import IntPolynomial, poly_gcd
-from .schreier import SchreierGraph
+from .schreier import SchreierGraph, _tuple_new
 from .spectral import char_data, transition_matrix
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(namedtuple("RationalFunction", "num den")):
     """Quotient of integer polynomials in normal form: numerator and
     denominator coprime, denominator constant term +1.  Equality is
-    structural on the normal form."""
+    structural on the normal form.
 
-    num: IntPolynomial
-    den: IntPolynomial
+    An immutable named tuple (num, den) of the normal form: equality and
+    hash are those of the field tuple, so it also compares equal to the
+    plain tuple (num, den)."""
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    __slots__ = ()
+
+    def __new__(cls, num, den):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -56,8 +57,7 @@ class RationalFunction:
                 f"cannot normalise denominator constant term {den.coeffs[0]} to 1 "
                 "with integer coefficients"
             )
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return _tuple_new(cls, (num, den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

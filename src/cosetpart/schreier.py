@@ -11,11 +11,16 @@ discovery order over positive letters so that outputs are stable.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 
 from .words import InvalidLetter, Word, check_rank, reduce_word
+
+
+# The records of the package are named tuples whose __new__ runs their
+# checks.  They build the instance with tuple.__new__, looked up once here
+# (as namedtuple itself does): the lookup costs as much as the call.
+_tuple_new = tuple.__new__
 
 
 class InfiniteIndex(Exception):
@@ -26,31 +31,31 @@ class NotTransitive(ValueError):
     """The permutation data does not define a connected coset space."""
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(namedtuple("SchreierGraph", "action basepoint")):
     """Labelled coset graph: action[a-1][v-1] is the vertex reached from v by
     the a-th generator.  Each letter acts as a permutation of 1..d and the
-    action is transitive from the basepoint over positive letters alone."""
+    action is transitive from the basepoint over positive letters alone.
 
-    action: tuple[tuple[int, ...], ...]
-    basepoint: int = 1
+    An immutable named tuple (action, basepoint), basepoint 1 by default:
+    equality and hash are those of the field tuple, so a graph also
+    compares equal to the plain tuple of its fields."""
 
-    def __post_init__(self):
-        if not self.action:
+    def __new__(cls, action, basepoint=1):
+        if not action:
             raise ValueError("need at least one generator letter")
-        d = len(self.action[0])
+        d = len(action[0])
         if d < 1:
             raise ValueError("need at least one vertex")
-        for a, perm in enumerate(self.action, start=1):
+        for a, perm in enumerate(action, start=1):
             if len(perm) != d or sorted(perm) != list(range(1, d + 1)):
                 raise ValueError(f"letter {a}: action is not a permutation of 1..{d}")
-        if not 1 <= self.basepoint <= d:
-            raise ValueError(f"basepoint {self.basepoint} not in 1..{d}")
-        seen = {self.basepoint}
-        queue = deque([self.basepoint])
+        if not 1 <= basepoint <= d:
+            raise ValueError(f"basepoint {basepoint} not in 1..{d}")
+        seen = {basepoint}
+        queue = deque([basepoint])
         while queue:
             v = queue.popleft()
-            for perm in self.action:
+            for perm in action:
                 w = perm[v - 1]
                 if w not in seen:
                     seen.add(w)
@@ -59,6 +64,15 @@ class SchreierGraph:
             raise NotTransitive(
                 f"only {len(seen)} of {d} vertices reachable from the basepoint"
             )
+        return _tuple_new(cls, (action, basepoint))
+
+    # instances keep a __dict__ only for the cached inverse_action, which
+    # cached_property writes there directly; every other assignment fails
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: SchreierGraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: SchreierGraph is immutable")
 
     @property
     def rank(self) -> int:
@@ -80,19 +94,20 @@ class SchreierGraph:
         return tuple(inv)
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A right coset H*rep, identified with a vertex of the Schreier graph."""
+class Coset(namedtuple("Coset", "graph vertex rep")):
+    """A right coset H*rep, identified with a vertex of the Schreier graph.
 
-    graph: SchreierGraph
-    vertex: int
-    rep: Word
+    An immutable named tuple (graph, vertex, rep), equal to the plain tuple
+    of its fields."""
 
-    def __post_init__(self):
-        if not 1 <= self.vertex <= self.graph.d:
-            raise ValueError(f"vertex {self.vertex} out of range")
-        if resolve(self.graph, self.rep) != self.vertex:
+    __slots__ = ()
+
+    def __new__(cls, graph, vertex, rep):
+        if not 1 <= vertex <= graph.d:
+            raise ValueError(f"vertex {vertex} out of range")
+        if resolve(graph, rep) != vertex:
             raise ValueError("representative word does not resolve to the vertex")
+        return _tuple_new(cls, (graph, vertex, rep))
 
 
 def from_permutations(rank: int, perms, basepoint: int = 1) -> SchreierGraph:

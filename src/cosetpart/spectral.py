@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 
 from .poly import IntPolynomial
@@ -109,14 +108,19 @@ def period(graph: SchreierGraph) -> int:
     return cyclic_structure(graph)[0]
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Exact characteristic data of a transition matrix."""
+class SpectralSummary(
+    namedtuple(
+        "SpectralSummary",
+        "period reciprocal_charpoly zero_multiplicity cyclic_classes",
+    )
+):
+    """Exact characteristic data of a transition matrix: the period, the
+    reciprocal characteristic polynomial q(z) = det(I - zA) with q(0) = 1,
+    the algebraic multiplicity of eigenvalue 0, and per vertex its BFS
+    level from vertex 1 mod the period.  An immutable named tuple, equal
+    to the plain tuple of its fields."""
 
-    period: int
-    reciprocal_charpoly: IntPolynomial  # q(z) = det(I - zA), q(0) = 1
-    zero_multiplicity: int  # algebraic multiplicity of eigenvalue 0
-    cyclic_classes: tuple[int, ...]  # per vertex, BFS level from vertex 1 mod period
+    __slots__ = ()
 
 
 def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import subprocess
@@ -116,8 +117,7 @@ def test_theorem_failure_is_exit_3(tmp_path, monkeypatch):
 
     def fake_analyze(spec, **kwargs):
         report = real(spec, **kwargs)
-        object.__setattr__(report, "theorem1", dict(report.theorem1, all_pass=False))
-        return report
+        return report._replace(theorem1=dict(report.theorem1, all_pass=False))
 
     monkeypatch.setattr(cli_mod, "analyze", fake_analyze)
     rc = main(["analyze", write(tmp_path, "mod2.json", MOD2)])
@@ -190,18 +190,26 @@ def test_directory_input_is_exit_1(tmp_path, capsys):
 def test_usage_errors_are_exit_1(tmp_path, capsys):
     # exit 2 means "not a partition": a typo must not read as a verdict
     path = write(tmp_path, "mod2.json", MOD2)
+    ex1 = write(tmp_path, "ex1.json", EX1)
+    zpath = write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})
     cases = [
         ([], "required: command"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["analyze"], "required: input"),
         (["analyze", path, "--series-depth", "x"], "invalid int value: 'x'"),
+        # a negative depth is refused before the command prints anything
+        (["subgroup", ex1, "--series-depth", "-1"], "depth must be >= 0, got -1"),
+        (["analyze", path, "--series-depth", "-3"], "depth must be >= 0, got -3"),
+        # zanalyze reads no series, so it takes no --series-depth
+        (["zanalyze", zpath, "--series-depth", "-5"], "unrecognized arguments: --series-depth -5"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("usage: cosetpart") and message in err, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage: cosetpart") and message in captured.err, argv
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--help"])
     assert exc.value.code == 0
@@ -288,6 +296,18 @@ def test_z_file_validation(tmp_path, capsys):
         assert message in capsys.readouterr().err, obj
 
 
+def test_closed_stdout_is_exit_1(tmp_path, capsys, monkeypatch):
+    # as when `cosetpart subgroup fold.json | head -5` closes the pipe early
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main(["subgroup", write(tmp_path, "ex1.json", EX1)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {os.strerror(errno.EPIPE)}\n"
+
+
 def test_serialized_values_roundtrip():
     from fractions import Fraction
 
@@ -319,6 +339,22 @@ def test_cli_import_leaves_out_networkx():
 def test_cli_import_leaves_out_oracle():
     # the brute-force routes load only under --oracle
     assert not imported_by_cli("cosetpart.oracle")
+
+
+def test_cli_import_leaves_out_dataclasses_and_typing():
+    # The records are named tuples, so starting the CLI loads no dataclass
+    # machinery (dataclasses pulls in inspect, ast, dis and tokenize) and no
+    # typing.  A bare interpreter (-I -S) keeps site hooks from loading them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    unwanted = ["dataclasses", "inspect", "typing", "cosetpart.oracle"]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import cosetpart.cli; "
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def count_calls(monkeypatch, name):
