@@ -4,7 +4,7 @@ verification of the partition identities and period/index repetition
 theorems on coset partitions, including covering systems of the integers
 as the rank-1 case."""
 
-from .cyclo import CycloNumber, NotAPole, NotSimple, cyclotomic
+from .cyclo import CycloNumber, cyclotomic
 from .partition import (
     AnalysisReport,
     NotAPartition,

@@ -38,7 +38,11 @@ from .words import InvalidLetter, format_word
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per open bracket
+            raise ValueError(f"JSON nested too deeply in {path}") from None
 
 
 class WriteFailed(Exception):

@@ -1,38 +1,19 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_h) and residues of
-rational functions at the scaled roots of unity z0 = zeta_h^m / n.
+"""Exact arithmetic in the cyclotomic fields Q(zeta_h).
 
-The point z0 is always handled symbolically through the triple
-(h, m, n); numbers in Q(zeta_h) are rational-coefficient polynomials in
-zeta_h reduced modulo the h-th cyclotomic polynomial Phi_h.  There is one
+Numbers in Q(zeta_h) are rational-coefficient polynomials in zeta_h
+reduced modulo the h-th cyclotomic polynomial Phi_h.  There is one
 reduction, over the integers: the coefficients are put over the lcm L of
 their denominators, the integer numerators are reduced modulo the monic
 Phi_h in Z[x], and the phi(h) remainders are divided by L once
-(CycloNumber.from_integers takes the numerators and L directly).  A residue
-N(z0)/D'(z0) takes three steps, none of them arithmetic in Q(zeta_h)
-term by term:
+(CycloNumber.from_integers takes the numerators and L directly).
 
-- Pole test.  z0 is a primitive root of unity of order h' = h/gcd(m, h)
-  scaled by 1/n, so its minimal polynomial over Q is Phi_h'(nz) up to a
-  constant.  z0 is a root of D of multiplicity k iff Phi_h'(nz)^k
-  divides D: integer divisibility tests, the same for every m coprime
-  to h.
-- Evaluation.  n^deg p(zeta_h^m / n) = sum_k c_k n^(deg-k) zeta_h^(km):
-  the integer terms are bucketed by km mod h and reduced once modulo the
-  monic Phi_h, all over the integers.  N and D' are evaluated this way
-  and divided once in Q(zeta_h).
-- Galois conjugation.  For m coprime to h, sigma_m: zeta_h -> zeta_h^m
-  is an automorphism of Q(zeta_h) fixing Q.  Generating functions have
-  rational coefficients, so the residue at zeta_h^m / n is sigma_m of the
-  residue at zeta_h / n (CycloNumber.conjugate, which returns a zero
-  unchanged), and a residue sum need only be computed at m = 1.
-
-partition reads the residues of a partition's members in closed form
-from their cyclic classes, as integer buckets over one common
-denominator, reduced once per period h and conjugated to the other m;
-the residues here, computed from the generating functions themselves,
-are the tests' independent route to the same values.  oracle keeps the
-direct route (Horner's rule in Q(zeta_h), pole order from successive
-derivatives) as a reference for this one.
+For m coprime to h, sigma_m: zeta_h -> zeta_h^m is an automorphism of
+Q(zeta_h) fixing Q (CycloNumber.conjugate, which returns a zero
+unchanged).  partition reads the residues of a partition's members at
+zeta_h / n in closed form from their cyclic classes, as integer buckets
+over one common denominator reduced once per period h, and conjugates the
+sum to every other m.  The residues of the generating functions
+themselves, the reference for that closed form, live in oracle.
 """
 
 from __future__ import annotations
@@ -42,16 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import IntPolynomial, divmod_frac
-from .ratfunc import RationalFunction
-
-
-class NotAPole(ValueError):
-    """The denominator does not vanish at the requested point."""
-
-
-class NotSimple(ValueError):
-    """The requested pole has multiplicity greater than one."""
-
 
 # The bound keeps a long-running process from growing without limit; the
 # orders met are periods of Schreier graphs and their divisors, so an
@@ -154,17 +125,8 @@ class CycloNumber:
         raise AttributeError("CycloNumber is immutable")
 
     @classmethod
-    def zero(cls, h: int) -> "CycloNumber":
-        return cls(h)
-
-    @classmethod
     def from_rational(cls, h: int, value) -> "CycloNumber":
         return cls(h, [Fraction(value)])
-
-    @classmethod
-    def zeta_power(cls, h: int, e: int) -> "CycloNumber":
-        e %= h
-        return cls(h, [0] * e + [1])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -206,9 +168,6 @@ class CycloNumber:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -257,88 +216,3 @@ class CycloNumber:
 
     def __repr__(self):
         return f"CycloNumber(h={self.h}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
-    """The largest k with Phi_h(nz)^k dividing den: the multiplicity of
-    every zeta_h^m / n with m coprime to h as a root of den."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma each
-    # exact quotient is integral
-    factor = IntPolynomial([c * n**j for j, c in enumerate(cyclotomic(h).coeffs)])
-    order = 0
-    while den.degree >= factor.degree:
-        quo, rem = divmod_frac(den.coeffs, factor.coeffs)
-        if rem:
-            break
-        order += 1
-        den = IntPolynomial([int(c) for c in quo])
-    return order
-
-
-def _root_order(h: int, m: int) -> int:
-    # zeta_h^m is a primitive root of unity of this order
-    if h < 1:
-        raise ValueError("order must be >= 1")
-    return h // math.gcd(m, h)
-
-
-def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
-    """Integer coefficients over zeta_h, bucketed by exponent mod h, of
-    n^deg(p) * p(zeta_h^m / n)."""
-    if h < 1:
-        raise ValueError("order must be >= 1")
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    buckets = [0] * h
-    scale = 1
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c:
-            buckets[k * m % h] += c * scale
-        scale *= n
-    return buckets
-
-
-def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
-    """p(zeta_h^m / n), exactly."""
-    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
-
-
-def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
-    """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
-    a pole.  Raises NotSimple if z0 is a multiple pole."""
-    order = pole_multiplicity(f.den, _root_order(h, m), n)
-    if not order:
-        return None
-    if order > 1:
-        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
-    dprime = f.den.derivative()
-    num = _scaled_eval(f.num, h, m, n)
-    den = _scaled_eval(dprime, h, m, n)
-    # N(z0)/D'(z0) = n^(deg D' - deg N) * num/den
-    shift = dprime.degree - f.num.degree
-    if shift >= 0:
-        num = [c * n**shift for c in num]
-    else:
-        den = [c * n**-shift for c in den]
-    return CycloNumber.from_integers(h, num) / CycloNumber.from_integers(h, den)
-
-
-def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
-    """Multiplicity of z0 = zeta_h^m / n as a root of the denominator
-    (0 if z0 is not a pole)."""
-    return pole_multiplicity(f.den, _root_order(h, m), n)
-
-
-def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
-    """Residue N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n.
-
-    Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.
-    """
-    value = residue_at(f, h, m, n)
-    if value is None:
-        raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
-    return value
-

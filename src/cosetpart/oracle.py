@@ -1,29 +1,49 @@
-"""Brute-force ground truth for cross-validating every fast path.
+"""Independent references, one per production route.
 
-Everything here enumerates: positive words one by one for counting,
-simple cycles by depth-first search for the period, reduced words for
-partition defects.  The budgets are hard caps with loud errors, never
-silent truncation.
-Generating functions are recomputed from cofactors: the numerator is a
-signed minor of I - zA, evaluated at integer points by fraction-free
-Bareiss elimination and interpolated.
-The reciprocal characteristic polynomial det(I - zA) is recomputed by
-the Faddeev-LeVerrier recurrence on the whole matrix, entry by entry
-(reciprocal_charpoly_by_faddeev), the reference for spectral's packed
-power sums.
-Polynomial gcds are recomputed by primitive-PRS Euclid alone, without
-poly_gcd's GCDHEU evaluation points.
-Residues at the scaled roots of unity are recomputed the direct way:
-Horner's rule in Q(zeta_h) at the point itself, with the pole order read
-off successive derivatives.
+Each production route has its reference here or in the tests, and the
+tests require the same answers:
+
+- verify_partition and z_verify: the complete orbit walks and the count
+  over residues mod lcm in tests/test_verify_reference.py;
+  partition_by_words here classifies every reduced word up to a length
+  bound, for analyze --oracle.
+- The word counts (genfunc's series, check_coefficient_identity):
+  count_by_enumeration classifies every positive word one by one.
+- genfunc: ratfunc.series_from_matrix, exact matrix powers.  The normal
+  form and e_s (I - zA)^(-1) e_t both have numerator degree < d,
+  denominator degree <= d and denominator constant term 1, so series that
+  agree to 2d terms prove the functions equal (tests/test_ratfunc.py).
+- char_data's det(I - zA): reciprocal_charpoly_by_faddeev, the
+  Faddeev-LeVerrier recurrence on the whole matrix.
+- poly_gcd: poly_gcd_by_prs, primitive-PRS Euclid without GCDHEU.
+- period: period_by_cycles, the gcd of all simple cycle lengths.
+- Residue sums and lemma 8 (partition._residue_sum, _lemma8_clauses,
+  read in closed form from cyclic classes): residue_at, residue_simple
+  and pole_order, the residues of the generating functions themselves.
+
+The enumerations have hard budgets with loud errors, never silent
+truncation.
+
+Residues at z0 = zeta_h^m / n, with z0 handled symbolically through the
+triple (h, m, n), take two steps, neither of them arithmetic in Q(zeta_h)
+term by term:
+
+- Pole test.  z0 is a primitive root of unity of order h' = h/gcd(m, h)
+  scaled by 1/n, so its minimal polynomial over Q is Phi_h'(nz) up to a
+  constant.  z0 is a root of D of multiplicity k iff Phi_h'(nz)^k
+  divides D: integer divisibility tests, the same for every m coprime
+  to h.
+- Evaluation.  n^deg p(zeta_h^m / n) = sum_k c_k n^(deg-k) zeta_h^(km):
+  the integer terms are bucketed by km mod h and reduced once modulo the
+  monic Phi_h, all over the integers.  N and D' are evaluated this way
+  and divided once in Q(zeta_h).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .cyclo import CycloNumber, NotAPole, NotSimple
+from .cyclo import CycloNumber, cyclotomic
 from .partition import (
     GAP,
     IS_PARTITION,
@@ -31,10 +51,9 @@ from .partition import (
     PartitionSpec,
     PartitionVerdict,
 )
-from .poly import IntPolynomial, _prs_gcd, content, primitive_part
+from .poly import IntPolynomial, _prs_gcd, content, divmod_frac, primitive_part
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
-from .spectral import char_data, transition_matrix
 from .words import enumerate_positive, enumerate_reduced
 
 COUNT_MAX_DEPTH = 14
@@ -44,6 +63,14 @@ WORDS_MAX_LEN = 7
 
 class BudgetExceeded(Exception):
     """The requested enumeration is over the hard budget cap."""
+
+
+class NotAPole(ValueError):
+    """The denominator does not vanish at the requested point."""
+
+
+class NotSimple(ValueError):
+    """The requested pole has multiplicity greater than one."""
 
 
 def count_by_enumeration(cst: Coset, depth: int) -> list[int]:
@@ -110,120 +137,6 @@ def partition_by_words(spec: PartitionSpec, max_len: int) -> PartitionVerdict:
     return PartitionVerdict(IS_PARTITION)
 
 
-def eval_at_root_by_horner(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
-    """p(zeta_h^m / n) by Horner's rule at the point itself, one field
-    operation per coefficient."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    acc = p(CycloNumber.zeta_power(h, m) * Fraction(1, n))
-    if isinstance(acc, int):
-        acc = CycloNumber.from_rational(h, acc)
-    return acc
-
-
-def pole_order_by_derivatives(f: RationalFunction, h: int, m: int, n: int) -> int:
-    """Multiplicity of zeta_h^m / n as a root of the denominator: the number
-    of successive derivatives that vanish there."""
-    den = f.den
-    order = 0
-    while eval_at_root_by_horner(den, h, m, n).is_zero():
-        order += 1
-        den = den.derivative()
-    return order
-
-
-def residue_by_horner(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
-    """N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n, each factor
-    evaluated at z0 itself; raises NotAPole or NotSimple."""
-    if not eval_at_root_by_horner(f.den, h, m, n).is_zero():
-        raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
-    dprime = eval_at_root_by_horner(f.den.derivative(), h, m, n)
-    if dprime.is_zero():
-        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
-    return eval_at_root_by_horner(f.num, h, m, n) / dprime
-
-
-def lagrange_interpolate(values) -> IntPolynomial:
-    """The unique integer polynomial of degree < len(values) taking
-    values[t] at t = 0, 1, 2, ...; raises if it is not integral."""
-    pts = len(values)
-    acc = [Fraction(0)] * pts
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(pts):
-            if j == i:
-                continue
-            # multiply basis by (z - j)
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= j * basis[k + 1]
-            denom *= i - j
-        scale = Fraction(v, denom)
-        for k, c in enumerate(basis):
-            acc[k] += scale * c
-    if any(c.denominator != 1 for c in acc):
-        raise ValueError("interpolated polynomial is not integral")
-    return IntPolynomial([int(c) for c in acc])
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
-def _minor_poly(matrix, drop_row: int, drop_col: int) -> IntPolynomial:
-    # det(I - zA : drop_row, drop_col) via evaluation at z = 0..d-1 and
-    # Lagrange interpolation (degree <= d-1)
-    d = len(matrix)
-    rows = [i for i in range(d) if i != drop_row]
-    cols = [j for j in range(d) if j != drop_col]
-    values = []
-    for t in range(d):
-        m = [
-            [(1 if i == j else 0) - t * matrix[i][j] for j in cols]
-            for i in rows
-        ]
-        values.append(_det_int(m))
-    return lagrange_interpolate(values)
-
-
-def genfunc_by_cofactors(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
-    """(-1)^(start+end) det(I - zA : end, start) / det(I - zA), where
-    (B : f, i) removes row f and column i, in normal form."""
-    d = graph.d
-    if not (1 <= start <= d and 1 <= end <= d):
-        raise ValueError(f"start/end must lie in 1..{d}")
-    matrix = transition_matrix(graph)
-    den = char_data(matrix).reciprocal_charpoly
-    minor = _minor_poly(matrix, end - 1, start - 1)
-    sign = -1 if (start + end) % 2 else 1
-    return RationalFunction(minor * sign, den)
-
-
 def poly_gcd_by_prs(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Gcd over Z[z] by content and primitive-PRS Euclid, leading
     coefficient positive: the reference for poly.poly_gcd."""
@@ -264,3 +177,87 @@ def reciprocal_charpoly_by_faddeev(matrix) -> IntPolynomial:
             product.append(acc)
         m = product
     return IntPolynomial(coeffs)
+
+
+def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
+    """The largest k with Phi_h(nz)^k dividing den: the multiplicity of
+    every zeta_h^m / n with m coprime to h as a root of den."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma each
+    # exact quotient is integral
+    factor = IntPolynomial([c * n**j for j, c in enumerate(cyclotomic(h).coeffs)])
+    order = 0
+    while den.degree >= factor.degree:
+        quo, rem = divmod_frac(den.coeffs, factor.coeffs)
+        if rem:
+            break
+        order += 1
+        den = IntPolynomial([int(c) for c in quo])
+    return order
+
+
+def _root_order(h: int, m: int) -> int:
+    # zeta_h^m is a primitive root of unity of this order
+    if h < 1:
+        raise ValueError("order must be >= 1")
+    return h // math.gcd(m, h)
+
+
+def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
+    """Integer coefficients over zeta_h, bucketed by exponent mod h, of
+    n^deg(p) * p(zeta_h^m / n)."""
+    if h < 1:
+        raise ValueError("order must be >= 1")
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    buckets = [0] * h
+    scale = 1
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if c:
+            buckets[k * m % h] += c * scale
+        scale *= n
+    return buckets
+
+
+def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
+    """p(zeta_h^m / n), exactly."""
+    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
+
+
+def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
+    """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
+    a pole.  Raises NotSimple if z0 is a multiple pole."""
+    order = pole_multiplicity(f.den, _root_order(h, m), n)
+    if not order:
+        return None
+    if order > 1:
+        raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
+    dprime = f.den.derivative()
+    num = _scaled_eval(f.num, h, m, n)
+    den = _scaled_eval(dprime, h, m, n)
+    # N(z0)/D'(z0) = n^(deg D' - deg N) * num/den
+    shift = dprime.degree - f.num.degree
+    if shift >= 0:
+        num = [c * n**shift for c in num]
+    else:
+        den = [c * n**-shift for c in den]
+    return CycloNumber.from_integers(h, num) / CycloNumber.from_integers(h, den)
+
+
+def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
+    """Multiplicity of z0 = zeta_h^m / n as a root of the denominator
+    (0 if z0 is not a pole)."""
+    return pole_multiplicity(f.den, _root_order(h, m), n)
+
+
+def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
+    """Residue N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n.
+
+    Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.
+    """
+    value = residue_at(f, h, m, n)
+    if value is None:
+        raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
+    return value

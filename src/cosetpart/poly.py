@@ -20,8 +20,7 @@ class IntPolynomial:
     """A polynomial over the integers.
 
     IntPolynomial([1, 0, -4]) is 1 - 4z^2; IntPolynomial([]) is 0.
-    Supports +, -, * (with ints and polynomials), evaluation via call
-    (on ints, Fractions, complex, or any ring element with + and *),
+    Supports +, -, * (with ints and polynomials), evaluation via call,
     and exact division.
     """
 
@@ -99,7 +98,8 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate by Horner; works for any ring element mixing with ints."""
+        """Evaluate at the integer x by Horner's rule, as GCDHEU does at
+        its evaluation points."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -107,12 +107,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def divides(self, other: "IntPolynomial") -> bool:
         """True iff self divides other in Q[z] (equivalently, exactly)."""

@@ -12,8 +12,9 @@ permutations gives the numerators for every end vertex at once; genfunc
 reads its end's column from that walk, cached per (graph, start).
 Normal forms come from poly_gcd (GCDHEU, PRS fallback).
 series_from_matrix is the independent route through exact matrix
-powers, and oracle.genfunc_by_cofactors recomputes N as the minor
-itself; both must agree with genfunc.
+powers.  A normal form N'/D with deg N' < d, deg D <= d and D(0) = 1
+whose series matches it to 2d terms is the generating function N/q
+itself: N' q - N D has degree < 2d and vanishes mod z^(2d), so it is 0.
 """
 
 from __future__ import annotations

@@ -8,8 +8,12 @@ runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import time
 
-from cosetpart.cyclo import pole_order, residue_simple
-from cosetpart.oracle import count_by_enumeration, period_by_cycles
+from cosetpart.oracle import (
+    count_by_enumeration,
+    period_by_cycles,
+    pole_order,
+    residue_simple,
+)
 from cosetpart.partition import (
     GAP,
     IS_PARTITION,

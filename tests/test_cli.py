@@ -245,6 +245,14 @@ def test_bad_json_reports_line_and_column(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+    # the decoder recurses once per bracket; nesting past the interpreter's
+    # recursion limit is reported, not raised
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for command in ("analyze", "subgroup", "zanalyze"):
+        assert main([command, str(deep)]) == 1
+        # the message alone: no traceback, nothing on stdout
+        assert capsys.readouterr() == ("", f"error: JSON nested too deeply in {deep}\n")
 
 
 def test_malformed_partition_is_exit_1(tmp_path, capsys):

@@ -6,7 +6,7 @@ per-member references.
 residues and lemma 8 are read from each member's index, period and cyclic
 class.  The references below do the same work one member at a time: dense
 matrix powers per member, one rational addition per member, and residues
-of the members' generating functions (`cyclo.pole_order`, `residue_at`,
+of the members' generating functions (`oracle.pole_order`, `residue_at`,
 `residue_simple`).  Both must agree on partitions and on defective
 families alike.
 """
@@ -15,11 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from cosetpart.cyclo import CycloNumber, pole_order, residue_at, residue_simple
+from cosetpart.cyclo import CycloNumber
+from cosetpart.oracle import pole_order, residue_at, residue_simple
 from cosetpart.partition import (
     PartitionSpec,
     _lemma8_clauses,
     _member_reports,
+    _residue_sum,
     check_coefficient_identity,
     check_sum_identity,
     generate_partition,
@@ -123,16 +125,20 @@ def test_lemma8_matches_genfunc_residues(family_specs):
 def closed_form_matches(reports, n):
     """Compare the residue -zeta_h^(l + 1) / (n d) that the closed form gives
     at zeta_h / n when h divides the period, and no pole otherwise, with
-    residue_at for h = 2..12; returns the numbers of poles and non-poles."""
+    residue_at for h = 2..12; returns the numbers of poles and non-poles.
+    partition's one-member residue sum must give the same value (zero off
+    the poles)."""
     poles = non_poles = 0
     for r in reports:
         for h in range(2, 13):
             value = residue_at(r.genfunc, h, 1, n)
+            closed = _residue_sum([r], n, h, 1)
+            assert closed == (CycloNumber(h) if value is None else value), (r, h)
             if r.period % h:
                 assert value is None, (r, h)
                 non_poles += 1
             else:
-                expected = CycloNumber.zeta_power(h, r.cyclic_class + 1)
+                expected = CycloNumber.from_integers(h, [0] * ((r.cyclic_class + 1) % h) + [1])
                 assert value == expected * Fraction(-1, n * r.index), (r, h)
                 poles += 1
     return poles, non_poles

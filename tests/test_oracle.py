@@ -2,29 +2,24 @@ import math
 
 import pytest
 
-from cosetpart.cyclo import (
+from cosetpart.oracle import (
+    BudgetExceeded,
     NotAPole,
     NotSimple,
-    eval_at_root,
+    count_by_enumeration,
+    partition_by_words,
+    period_by_cycles,
     pole_order,
     residue_at,
     residue_simple,
-)
-from cosetpart.oracle import (
-    BudgetExceeded,
-    count_by_enumeration,
-    eval_at_root_by_horner,
-    genfunc_by_cofactors,
-    partition_by_words,
-    period_by_cycles,
-    pole_order_by_derivatives,
-    residue_by_horner,
 )
 from cosetpart.partition import (
     GAP,
     IS_PARTITION,
     OVERLAP,
     PartitionSpec,
+    _cyclic_records,
+    _residue_sum,
     member_genfunc,
     member_periods,
     residue_sum_check,
@@ -83,29 +78,6 @@ def test_counts_match_fast_paths(graph_family):
             assert counts == series_from_matrix(graph, 1, end, depth)
 
 
-def test_genfunc_matches_cofactors_on_zoo(graph_family):
-    for graph in graph_family.values():
-        for start in range(1, graph.d + 1):
-            for end in range(1, graph.d + 1):
-                assert genfunc(graph, start, end) == genfunc_by_cofactors(graph, start, end)
-
-
-@pytest.mark.parametrize("d, seed, want_period", [(8, 1, 1), (16, 2, 2), (24, 3, 1)])
-def test_genfunc_matches_cofactors_on_random_graphs(random_graph, d, seed, want_period):
-    graph = random_graph(d, seed, want_period)
-    for start in range(1, d + 1):
-        for end in range(1, d + 1):
-            f = genfunc(graph, start, end)
-            # the numerator is built from a_0..a_{d-1}; the terms up to 2d
-            # check the denominator as well
-            assert f.series(2 * d) == series_from_matrix(graph, start, end, 2 * d)
-            # at d = 24 every pair would take about 25 s of Bareiss minors
-            # and interpolation, so there one row and one column are
-            # compared; they cover both parities of the cofactor sign
-            if d < 24 or start == 1 or end == d:
-                assert f == genfunc_by_cofactors(graph, start, end), (start, end)
-
-
 def test_period_oracle_agrees(graph_family):
     for graph in graph_family.values():
         if graph.d <= 8:
@@ -121,38 +93,29 @@ def test_period_by_cycles_on_random_graphs(random_graph):
 
 
 def _check_residues_against_reference(spec, h):
-    """Compare the kernel with the Horner route at every zeta_h^m / n with
-    m coprime to h; returns the number of member residues compared."""
+    """Compare the closed-form residues, member by member and summed, with
+    the residues of the members' generating functions at every
+    zeta_h^m / n with m coprime to h; returns the number of member residues
+    compared."""
     n = spec.rank
     compared = 0
     genfuncs = [member_genfunc(member) for member in spec.members]
+    records = _cyclic_records(spec.members)
     for m in range(1, h):
         if math.gcd(m, h) != 1:
             continue
         reference = 0
-        for f in genfuncs:
-            order = pole_order(f, h, m, n)
-            assert order == pole_order_by_derivatives(f, h, m, n), (h, m, f)
-            if order:
-                value = residue_by_horner(f, h, m, n)
-                assert residue_simple(f, h, m, n) == value, (h, m, f)
+        for f, record in zip(genfuncs, records):
+            if pole_order(f, h, m, n):
+                value = residue_simple(f, h, m, n)
                 assert residue_at(f, h, 1, n).conjugate(m) == value, (h, m, f)
+                # on a partition the sums vanish whatever their common
+                # factor, so each member's closed form is compared too
+                assert _residue_sum([record], n, h, m) == value, (h, m, f)
                 reference = value + reference
                 compared += 1
         assert residue_sum_check(spec, h, m) == reference, (h, m)
     return compared
-
-
-def test_evaluation_matches_reference(graph_family):
-    # every m, including those sharing a factor with h
-    for graph in graph_family.values():
-        n, h = graph.rank, period(graph)
-        for end in range(1, graph.d + 1):
-            f = genfunc(graph, 1, end)
-            for m in range(h + 1):
-                for p in (f.num, f.den, f.den.derivative()):
-                    assert eval_at_root(p, h, m, n) == eval_at_root_by_horner(p, h, m, n)
-                assert pole_order(f, h, m, n) == pole_order_by_derivatives(f, h, m, n)
 
 
 def test_residues_match_reference_on_corpus(corpus, random_graph):
@@ -187,12 +150,10 @@ def test_residue_errors_match_reference():
         (rational([1], [1, 0, -8, 0, 16]), 2, 1, 2),  # (1 - 4z^2)^2
     ]
     for f, h, m, n in multiple:
-        assert pole_order(f, h, m, n) == pole_order_by_derivatives(f, h, m, n) == 2
-        for route in (residue_simple, residue_by_horner):
-            with pytest.raises(NotSimple):
-                route(f, h, m, n)
+        assert pole_order(f, h, m, n) == 2
+        with pytest.raises(NotSimple):
+            residue_simple(f, h, m, n)
     f = rational([1], [1, -2])
-    assert pole_order(f, 4, 1, 2) == pole_order_by_derivatives(f, 4, 1, 2) == 0
-    for route in (residue_simple, residue_by_horner):
-        with pytest.raises(NotAPole):
-            route(f, 4, 1, 2)
+    assert pole_order(f, 4, 1, 2) == 0
+    with pytest.raises(NotAPole):
+        residue_simple(f, 4, 1, 2)

@@ -1,7 +1,6 @@
 import pytest
 
 from cosetpart.cyclo import cyclotomic
-from cosetpart.oracle import lagrange_interpolate
 from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
@@ -39,12 +38,6 @@ def test_poly_gcd_and_exact_div():
     assert not IntPolynomial([1, 1]).divides(IntPolynomial([1, 2]))
     with pytest.raises(ValueError):
         a.exact_div(IntPolynomial([1, 1]))
-
-
-def test_lagrange_interpolation_roundtrip():
-    p = IntPolynomial([3, -2, 0, 7])
-    values = [p(t) for t in range(p.degree + 2)]
-    assert lagrange_interpolate(values) == p
 
 
 def test_rational_normalisation():
@@ -90,12 +83,37 @@ def test_series_from_matrix_examples(fig1_graph, mod2_graph):
     assert series_from_matrix(mod2_graph, 1, 1, 4) == [1, 0, 4, 0, 16]
 
 
+def assert_genfunc_equals_matrix_powers(graph, start, end, depth):
+    """genfunc(graph, start, end) is e_s (I - zA)^(-1) e_t, proved from
+    depth + 1 >= 2d series terms.
+
+    By Cramer's rule the right side is C/q, where C is a signed minor of
+    I - zA of size d - 1, so deg C < d, and q = det(I - zA) has deg q <= d
+    and q(0) = 1; this holds for every square matrix.  The normal form N/D
+    is asserted to satisfy the same bounds: deg N < d, deg D <= d and
+    D(0) = 1.  Both denominators are units in the power series ring, so
+    series agreeing to 2d terms give N q - C D = 0 mod z^(2d).  That
+    polynomial has degree < 2d, hence it is zero and N/D = C/q."""
+    d = graph.d
+    assert depth >= 2 * d - 1
+    f = genfunc(graph, start, end)
+    assert f.num.degree < d and f.den.degree <= d and f.den.coeffs[0] == 1, (start, end)
+    assert f.series(depth) == series_from_matrix(graph, start, end, depth), (start, end)
+
+
 def test_genfunc_equals_matrix_powers_everywhere(graph_family):
     for graph in graph_family.values():
         for start in range(1, graph.d + 1):
             for end in range(1, graph.d + 1):
-                f = genfunc(graph, start, end)
-                assert f.series(20) == series_from_matrix(graph, start, end, 20)
+                assert_genfunc_equals_matrix_powers(graph, start, end, 20)
+
+
+@pytest.mark.parametrize("d, seed, want_period", [(8, 1, 1), (16, 2, 2), (24, 3, 1)])
+def test_genfunc_equals_matrix_powers_on_random_graphs(random_graph, d, seed, want_period):
+    graph = random_graph(d, seed, want_period)
+    for start in range(1, d + 1):
+        for end in range(1, d + 1):
+            assert_genfunc_equals_matrix_powers(graph, start, end, 2 * d)
 
 
 def test_row_sum_identity(graph_family):
