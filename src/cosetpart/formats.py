@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloNumber
-from .partition import AnalysisReport, PartitionSpec, PartitionVerdict
+from .partition import AnalysisReport, PartitionSpec, PartitionVerdict, _is_int
 from .poly import IntPolynomial
 from .ratfunc import RationalFunction
 from .schreier import SchreierGraph, coset, fold, from_permutations
@@ -54,11 +54,6 @@ def series_to_json(counts) -> list[str]:
 
 def subgroup_to_json(graph: SchreierGraph) -> dict:
     return {"rank": graph.rank, "permutations": [list(p) for p in graph.action]}
-
-
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_subgroup(obj) -> SchreierGraph:
@@ -130,14 +125,10 @@ def parse_z_file(obj) -> list[tuple[int, int]]:
         raise ValueError("Z-system file needs 'moduli': [[modulus, residue], ...]")
     if not isinstance(obj["moduli"], list):
         raise ValueError("'moduli' must be a list of [modulus, residue] pairs")
-    out = []
     for i, pair in enumerate(obj["moduli"], start=1):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"moduli entry {i} must be a [modulus, residue] pair")
-        if not all(map(_is_int, pair)):
-            raise ValueError(f"moduli entry {i} must hold two integers, got {pair!r}")
-        out.append((pair[0], pair[1]))
-    return out
+    return [tuple(pair) for pair in obj["moduli"]]
 
 
 def z_classes_to_json(classes) -> list[list[int]]:

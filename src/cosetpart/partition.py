@@ -25,8 +25,9 @@ from each member's index d_i, period h_i and cyclic class l_i (see
 _residue_sum): at zeta_h / n the check reads
 sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
 literal.  The covering systems of the integers are the rank-1
-specialization, handled both directly (z_verify) and through the general
-machinery (z_lift, one shared d-cycle per modulus d).
+specialization, decided by z_verify; z_lift (one shared d-cycle per modulus
+d) gives them to the general machinery, with z_verify's verdict and the
+moduli as periods, and is the tests' reference for `cosetpart zanalyze`.
 """
 
 from __future__ import annotations
@@ -496,10 +497,17 @@ def _lemma8_clauses(reports: list[CyclicRecord]) -> dict:
 # covering systems of the integers (the rank-1 specialization)
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, and JSON true/false arrive as bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def normalize_z_classes(classes) -> tuple[tuple[int, int], ...]:
     out = []
-    for d, r in classes:
-        if not isinstance(d, int) or d < 1:
+    for i, (d, r) in enumerate(classes, start=1):
+        if not (_is_int(d) and _is_int(r)):
+            raise ValueError(f"moduli entry {i} must hold two integers, got {[d, r]!r}")
+        if d < 1:
             raise ValueError(f"modulus must be a positive integer, got {d!r}")
         out.append((d, r % d))
     if not out:
@@ -598,9 +606,7 @@ def z_to_schreier(d: int, r: int) -> tuple[SchreierGraph, Coset]:
     """Lift the residue class dZ + r to the rank-1 machinery: the Schreier
     graph of dZ is the directed d-cycle and the coset vertex sits r steps
     past the basepoint.  The transition matrix has period exactly d."""
-    if d < 1:
-        raise ValueError("modulus must be >= 1")
-    r %= d
+    ((d, r),) = normalize_z_classes([(d, r)])
     graph = _z_cycle(d)
     return graph, Coset(graph, r + 1, (1,) * r)
 
@@ -619,7 +625,7 @@ def davenport_rado_check(classes) -> dict:
     """On a verified covering system with maximal modulus > 1: the largest
     modulus occurs at least twice, and every modulus divides another."""
     classes = normalize_z_classes(classes)
-    verdict = z_verify(classes)
+    verdict = _z_verdict(classes)
     if not verdict.ok:
         raise NotAPartition(verdict)
     return _davenport_rado_clauses([d for d, _ in classes])

@@ -189,14 +189,21 @@ def series_from_matrix(
         raise ValueError(f"start/end must lie in 1..{d}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    return [row[end - 1] for row in _matrix_power_rows(graph, start, depth)]
+
+
+def _matrix_power_rows(graph: SchreierGraph, start: int, depth: int) -> list[list[int]]:
+    """The rows e_start A^k for k = 0..depth, by dense vector-matrix
+    products: series_from_matrix at every end at once."""
+    d = graph.d
     matrix = transition_matrix(graph)
     vec = [0] * d
     vec[start - 1] = 1
-    out = [vec[end - 1]]
+    rows = [vec]
     for _ in range(depth):
         vec = [
             sum(vec[i] * matrix[i][j] for i in range(d) if vec[i])
             for j in range(d)
         ]
-        out.append(vec[end - 1])
-    return out
+        rows.append(vec)
+    return rows

@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-built golden graphs and the generated corpus.
+"""Shared fixtures: the hand-built golden graphs, the generated corpus
+and the generated covering systems of Z.
 
 The corpus is the fixed family the property suites run over: one
 partition per (rank, depth, seed) combination with ranks 1..3 and depths
@@ -9,7 +10,12 @@ import random
 
 import pytest
 
-from cosetpart.partition import PartitionSpec, generate_partition, _kernel_graph
+from cosetpart.partition import (
+    PartitionSpec,
+    _kernel_graph,
+    generate_partition,
+    generate_z_covering,
+)
 from cosetpart.schreier import NotTransitive, coset, from_permutations, subgroup_coset
 from cosetpart.spectral import period
 
@@ -89,6 +95,12 @@ def _random_graph(d: int, seed: int, want_period: int = 1):
             continue
         if period(graph) == want_period:
             return graph
+
+
+@pytest.fixture(scope="session")
+def z_coverings():
+    """21 covering systems of Z: generate_z_covering at depths 1-7, seeds 1-3."""
+    return [generate_z_covering(depth, seed) for depth in range(1, 8) for seed in (1, 2, 3)]
 
 
 @pytest.fixture(scope="session")

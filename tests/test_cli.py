@@ -10,7 +10,16 @@ import pytest
 
 from cosetpart import formats, partition
 from cosetpart.cli import main
-from cosetpart.partition import PartitionSpec, generate_partition
+from cosetpart.partition import (
+    PartitionSpec,
+    generate_partition,
+    member_periods,
+    theorem1_check,
+    theorem2_check,
+    verify_partition,
+    z_lift,
+    z_verify,
+)
 from cosetpart.schreier import coset, from_permutations, subgroup_coset
 
 EX1 = {"rank": 2, "generators": ["aaaa", "bbbb", "aB", "aaBB", "aaaBBB"]}
@@ -141,6 +150,78 @@ def test_zanalyze(tmp_path):
     assert all(report["lifted"]["agreement"].values())
 
 
+def lifted_section_by_lift(classes):
+    """zanalyze's lifted section computed on the lift itself: real d-cycles
+    through z_lift, verify_partition, member_periods and the theorem
+    checks; None where the certificate finds no partition, as zanalyze
+    then stops (and late's 10^9-cycle could not be built)."""
+    if not z_verify(classes).ok:
+        return None
+    lifted = z_lift(classes)
+    verdict = verify_partition(lifted)
+    periods = member_periods(lifted)
+    t1, t2 = theorem1_check(lifted), theorem2_check(lifted)
+    return {
+        "partition": formats.verdict_to_json(verdict, 1),
+        "periods": periods,
+        "theorem1": t1,
+        "theorem2": t2,
+        "agreement": {
+            "verdict_matches": verdict.status == z_verify(classes).status,
+            "periods_equal_moduli": periods == [d for d, _ in classes],
+            "theorem1_all_pass": t1["all_pass"],
+            "theorem2_all_pass": t2["all_pass"],
+        },
+    }
+
+
+def chain(k):
+    """{2Z, 4Z + 1, ..., 2^k Z + 2^(k-1) - 1, 2^k Z + 2^k - 1}: a partition
+    of Z with k + 1 classes and moduli up to 2^k."""
+    return [[2**j, 2 ** (j - 1) - 1] for j in range(1, k + 1)] + [[2**k, 2**k - 1]]
+
+
+def test_zanalyze_lifted_section_matches_the_lift(tmp_path, capsys, z_coverings):
+    families = [
+        # the CI fixtures zcover, late and zgap
+        [[2, 0], [4, 1], [4, 3]],
+        [[2, 0], [2, 1], [1000000001, 1000000000]],
+        [[2, 0], [4, 1]],
+        [[1, 0]],
+        [[2, 0], [2, 1], [2, 1]],
+        [[2, -2], [4, 5], [4, -1]],
+        chain(8),
+    ] + [[list(c) for c in classes] for classes in z_coverings]
+    out = tmp_path / "z.out.json"
+    for moduli in families:
+        path = write(tmp_path, "z.json", {"moduli": moduli})
+        out.unlink(missing_ok=True)
+        rc = main(["zanalyze", path, "--out", str(out)])
+        report = json.loads(out.read_text())
+        expected = lifted_section_by_lift(moduli)
+        assert report.get("lifted") == json.loads(json.dumps(expected)), moduli
+        assert rc == (2 if expected is None else 0), moduli
+        agrees = capsys.readouterr().out.count("lifted rank-1 machinery agrees: True")
+        assert agrees == (expected is not None), moduli
+
+
+def test_zanalyze_builds_no_cycle(tmp_path, monkeypatch, capsys):
+    # the lifted section needs no d-vertex cycle, so moduli up to 2^40 cost
+    # no more than small ones
+    def refuse(d):
+        raise AssertionError(f"zanalyze built a {d}-cycle")
+
+    monkeypatch.setattr(partition, "_z_cycle", refuse)
+    moduli = chain(40)
+    path, out = write(tmp_path, "chain40.json", {"moduli": moduli}), tmp_path / "out.json"
+    assert main(["zanalyze", path, "--out", str(out)]) == 0
+    assert "lifted rank-1 machinery agrees: True" in capsys.readouterr().out
+    lifted = json.loads(out.read_text())["lifted"]
+    assert lifted["periods"] == [d for d, _ in moduli]
+    assert lifted["partition"]["status"] == "IsPartition"
+    assert all(lifted["agreement"].values())
+
+
 def test_zanalyze_gap_is_exit_2(tmp_path):
     rc = main(["zanalyze", write(tmp_path, "zgap.json", {"moduli": [[2, 0], [4, 1]]})])
     assert rc == 2
@@ -202,6 +283,8 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
         (["analyze", path, "--series-depth", "-3"], "depth must be >= 0, got -3"),
         # zanalyze reads no series, so it takes no --series-depth
         (["zanalyze", zpath, "--series-depth", "-5"], "unrecognized arguments: --series-depth -5"),
+        # nor --oracle: the lift it would check is the tests' reference
+        (["zanalyze", zpath, "--oracle"], "unrecognized arguments: --oracle"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -367,7 +450,7 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
 
 def count_calls(monkeypatch, name):
     """Count calls of a partition function, whether made through the module
-    or through the name the CLI imported."""
+    or through the name the CLI imported, if it imported it."""
     from cosetpart import cli
 
     calls = []
@@ -378,7 +461,8 @@ def count_calls(monkeypatch, name):
         return original(*args)
 
     monkeypatch.setattr(partition, name, counted)
-    monkeypatch.setattr(cli, name, counted)
+    if hasattr(cli, name):
+        monkeypatch.setattr(cli, name, counted)
     return calls
 
 
@@ -392,4 +476,5 @@ def test_each_route_verifies_once(tmp_path, monkeypatch):
     verifies.clear()
     zpath = write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})
     assert main(["zanalyze", zpath]) == 0
-    assert (len(verifies), len(z_verifies)) == (1, 1)
+    # the certificate decides; the lifted section is read off the classes
+    assert (len(verifies), len(z_verifies)) == (0, 1)

@@ -221,6 +221,18 @@ def test_z_verify_examples():
     assert (v.status, v.witness) == (GAP, 3)
     v = z_verify([(2, 0), (2, 0)])
     assert (v.status, v.witness, v.overlap_indices) == (OVERLAP, 0, (1, 2))
+    # no integer lies in 2Z + 1/2, and True is no modulus or residue
+    for classes in (
+        [(2, 0.5), (2, 1.5)],
+        [(2, 0), (2, True)],
+        [(True, 0)],
+        [(2.0, 0), (2, 1)],
+        [(0, 0)],
+    ):
+        with pytest.raises(ValueError):
+            z_verify(classes)
+        with pytest.raises(ValueError):
+            davenport_rado_check(classes)
 
 
 def test_z_to_schreier_examples():
@@ -248,12 +260,8 @@ def lift_per_class(classes):
     return PartitionSpec(1, tuple(members))
 
 
-def z_coverings():
-    return [generate_z_covering(depth, seed) for depth in range(1, 8) for seed in (1, 2, 3)]
-
-
-def test_z_lift_equals_per_class_lift():
-    for classes in z_coverings():
+def test_z_lift_equals_per_class_lift(z_coverings):
+    for classes in z_coverings:
         for family in (classes, classes[:-1] + ((classes[-1][0], classes[-1][1] + 7),)):
             lifted = z_lift(family)
             assert lifted == lift_per_class(family)
@@ -261,15 +269,15 @@ def test_z_lift_equals_per_class_lift():
                 assert z_to_schreier(d, r) == (member.graph, member)
 
 
-def test_z_lift_shares_one_graph_per_modulus():
-    for classes in z_coverings():
+def test_z_lift_shares_one_graph_per_modulus(z_coverings):
+    for classes in z_coverings:
         members = z_lift(classes).members
         assert len({id(m.graph) for m in members}) == len({d for d, _ in classes})
         for a, b in itertools.combinations(members, 2):
             assert (a.graph is b.graph) == (a.graph.d == b.graph.d)
 
 
-def test_member_periods_run_once_per_modulus(monkeypatch):
+def test_member_periods_run_once_per_modulus(monkeypatch, z_coverings):
     digraph_period = spectral._digraph_period
     calls = []
 
@@ -278,7 +286,7 @@ def test_member_periods_run_once_per_modulus(monkeypatch):
         return digraph_period(succ)
 
     monkeypatch.setattr(spectral, "_digraph_period", counted)
-    for classes in z_coverings()[-6:]:
+    for classes in z_coverings[-6:]:
         spectral.cyclic_structure.cache_clear()
         calls.clear()
         lifted = z_lift(classes)
