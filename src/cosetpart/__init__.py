@@ -40,7 +40,7 @@ from .schreier import (
     subgroup_coset,
     transversal,
 )
-from .spectral import SpectralSummary, char_data, is_irreducible, period, transition_matrix
+from .spectral import SpectralSummary, char_data, period, transition_matrix
 from .words import (
     InvalidLetter,
     Word,

@@ -66,8 +66,7 @@ def _show_word(word, rank) -> str:
 def cmd_subgroup(args) -> int:
     graph = formats.parse_subgroup(_load_json(args.input))
     rank = graph.rank
-    matrix = transition_matrix(graph)
-    summary = char_data(matrix)
+    summary = char_data(graph)
     reps = transversal(graph)
     gfs = [genfunc(graph, graph.basepoint, f) for f in range(1, graph.d + 1)]
 
@@ -87,7 +86,7 @@ def cmd_subgroup(args) -> int:
         "period": summary.period,
         "zero_multiplicity": summary.zero_multiplicity,
         "reciprocal_charpoly": formats.poly_to_json(summary.reciprocal_charpoly),
-        "transition_matrix": [list(r) for r in matrix],
+        "transition_matrix": [list(r) for r in transition_matrix(graph)],
         "permutations": [list(p) for p in graph.action],
         "transversal": [format_word(t, rank) for t in reps],
         "genfuncs": [

@@ -53,7 +53,10 @@ def series_to_json(counts) -> list[str]:
 
 
 def subgroup_to_json(graph: SchreierGraph) -> dict:
-    return {"rank": graph.rank, "permutations": [list(p) for p in graph.action]}
+    obj = {"rank": graph.rank, "permutations": [list(p) for p in graph.action]}
+    if graph.basepoint != 1:
+        obj["basepoint"] = graph.basepoint
+    return obj
 
 
 def parse_subgroup(obj) -> SchreierGraph:
@@ -120,15 +123,14 @@ def parse_partition_file(obj) -> PartitionSpec:
     return PartitionSpec(rank, tuple(members))
 
 
-def parse_z_file(obj) -> list[tuple[int, int]]:
+def parse_z_file(obj) -> list:
+    """The classes of a Z-system file as given; partition.normalize_z_classes
+    checks each entry when they are verified."""
     if not isinstance(obj, dict) or "moduli" not in obj:
         raise ValueError("Z-system file needs 'moduli': [[modulus, residue], ...]")
     if not isinstance(obj["moduli"], list):
         raise ValueError("'moduli' must be a list of [modulus, residue] pairs")
-    for i, pair in enumerate(obj["moduli"], start=1):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"moduli entry {i} must be a [modulus, residue] pair")
-    return [tuple(pair) for pair in obj["moduli"]]
+    return obj["moduli"]
 
 
 def z_classes_to_json(classes) -> list[list[int]]:

@@ -13,8 +13,9 @@ tests require the same answers:
   form and e_s (I - zA)^(-1) e_t both have numerator degree < d,
   denominator degree <= d and denominator constant term 1, so series that
   agree to 2d terms prove the functions equal (tests/test_ratfunc.py).
-- char_data's det(I - zA): reciprocal_charpoly_by_faddeev, the
-  Faddeev-LeVerrier recurrence on the whole matrix.
+- char_data's det(I - zA), packed from a graph's letter permutations:
+  reciprocal_charpoly_by_faddeev, the Faddeev-LeVerrier recurrence on
+  the whole transition matrix.
 - poly_gcd: poly_gcd_by_prs, primitive-PRS Euclid without GCDHEU.
 - period: period_by_cycles, the gcd of all simple cycle lengths.
 - Residue sums and lemma 8 (partition._residue_sum, _lemma8_clauses,
@@ -51,7 +52,7 @@ from .partition import (
     PartitionSpec,
     PartitionVerdict,
 )
-from .poly import IntPolynomial, _prs_gcd, content, divmod_frac, primitive_part
+from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
 from .words import enumerate_positive, enumerate_reduced
@@ -184,16 +185,15 @@ def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
     every zeta_h^m / n with m coprime to h as a root of den."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma each
-    # exact quotient is integral
-    factor = IntPolynomial([c * n**j for j, c in enumerate(cyclotomic(h).coeffs)])
-    order = 0
-    while den.degree >= factor.degree:
-        quo, rem = divmod_frac(den.coeffs, factor.coeffs)
-        if rem:
+    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma it
+    # divides den in Q[z] iff it does in Z[z]: integer division decides
+    factor = [c * n**j for j, c in enumerate(cyclotomic(h).coeffs)]
+    order, coeffs = 0, den.coeffs
+    while len(coeffs) >= len(factor):
+        coeffs = _int_quotient(coeffs, factor)
+        if coeffs is None:
             break
         order += 1
-        den = IntPolynomial([int(c) for c in quo])
     return order
 
 

@@ -50,13 +50,7 @@ from .schreier import (
     transversal,
     trivial_graph,
 )
-from .spectral import (
-    SpectralSummary,
-    char_data,
-    cyclic_structure,
-    period,
-    transition_matrix,
-)
+from .spectral import SpectralSummary, char_data, cyclic_structure, period
 from .words import Word, check_rank, concat
 
 IS_PARTITION = "IsPartition"
@@ -504,7 +498,10 @@ def _is_int(value) -> bool:
 
 def normalize_z_classes(classes) -> tuple[tuple[int, int], ...]:
     out = []
-    for i, (d, r) in enumerate(classes, start=1):
+    for i, pair in enumerate(classes, start=1):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"moduli entry {i} must be a [modulus, residue] pair")
+        d, r = pair
         if not (_is_int(d) and _is_int(r)):
             raise ValueError(f"moduli entry {i} must hold two integers, got {[d, r]!r}")
         if d < 1:
@@ -868,9 +865,7 @@ def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
 def _member_reports(members) -> list[MemberReport]:
     """One report per member; the spectral data is looked up once per
     distinct graph, not per member."""
-    summaries = {
-        g: char_data(transition_matrix(g)) for g in dict.fromkeys(m.graph for m in members)
-    }
+    summaries = {g: char_data(g) for g in dict.fromkeys(m.graph for m in members)}
     return [_member_report(m, summaries[m.graph]) for m in members]
 
 

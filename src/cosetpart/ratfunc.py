@@ -156,7 +156,7 @@ def _numerators(
     coefficient of z^m in the numerator N of genfunc(graph, start, end),
     m < d: the end entry of u_m, where u_0 = q_0 e_start and
     u_m = u_{m-1} A + q_m e_start."""
-    q = char_data(transition_matrix(graph)).reciprocal_charpoly
+    q = char_data(graph).reciprocal_charpoly
     vec = [0] * graph.d
     vec[start - 1] = q.coeffs[0]
     rows = [vec]

@@ -1,25 +1,38 @@
-"""Transition matrices over the positive alphabet and their exact spectra.
+"""Exact spectra of Schreier graphs over the positive alphabet.
 
 The transition matrix A of a Schreier graph counts positive-letter edges
-between cosets; rows and columns all sum to the rank n, the digraph is
-strongly connected, and n is the Perron-Frobenius eigenvalue.  The
-characteristic data is kept exact: q(z) = det(I - zA) as an integer
-polynomial, from the power sums p_k = tr(A^k), k = 1..d, and Newton's
-identities (all divisions are exact over the integers).  Each row of A^k
-is packed into one Python integer, a fixed-width bit field per entry, so
-a row of A^k is the sum of at most n scaled packed rows of A^(k-1): every
-step is O(n d) big-integer additions, done in C, instead of O(n d^2)
-interpreted additions of single entries.  One BFS gives the period h and
-each vertex's cyclic class, its BFS level mod h; the eigenvalues of
-modulus n are n * omega for the h-th roots of unity omega, each simple,
-with eigenvectors omega^class (Perron-Frobenius).
+between cosets; rows and columns all sum to the rank n, and n is the
+Perron-Frobenius eigenvalue.  A is irreducible.  Lemma: the digraph of
+letter edges is strongly connected.  SchreierGraph admits only
+permutations transitive from the basepoint, so every vertex is reached
+from it; and an edge v -> pi(v) closes into a cycle through the powers
+of the letter's permutation pi (pi^k(v) = v for some k >= 1), so every
+edge can be walked back and the basepoint is reached from every vertex.
+The period, the cyclic classes and q(z) = det(I - zA) are therefore
+properties of the graph, and each is computed from the graph itself: no
+matrix is built, hashed or checked for them.
+
+One BFS over the letter permutations gives the period h and each
+vertex's cyclic class, its BFS level mod h; it is memoised per graph, so
+each distinct graph runs it once.  The eigenvalues of modulus n are
+n * omega for the h-th roots of unity omega, each simple, with
+eigenvectors omega^class (Perron-Frobenius).  q(z) is kept exact, as an
+integer polynomial, from the power sums p_k = tr(A^k), k = 1..d, and
+Newton's identities (all divisions are exact over the integers).  Each
+row of A^k is packed into one Python integer, a fixed-width bit field per
+entry, starting from the rows of A read off the letter permutations; a
+row of A^k is the sum of at most n scaled packed rows of A^(k-1), so
+every step is O(n d) big-integer additions, done in C, instead of
+O(n d^2) interpreted additions of single entries.  The dense matrix
+(transition_matrix) is built only for the subgroup report and the
+series_from_matrix reference.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
 from .poly import IntPolynomial
@@ -38,69 +51,36 @@ def transition_matrix(graph: SchreierGraph) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def is_irreducible(matrix: Matrix) -> bool:
-    """True iff the digraph of nonzero entries is strongly connected."""
-    d = len(matrix)
-    fwd = [[j for j in range(d) if matrix[i][j]] for i in range(d)]
-    bwd = [[j for j in range(d) if matrix[j][i]] for i in range(d)]
-    for adj in (fwd, bwd):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != d:
-            return False
-    return True
+# The bound keeps a long-running process from growing without limit.  Both
+# caches are keyed by graph, of d entries per letter; an analysis of up to
+# this many distinct subgroups never evicts one.
+SPECTRAL_CACHE_SIZE = 256
 
 
-# The bounds keep a long-running process from growing without limit.  The
-# char_data key is a whole d x d matrix, hence a smaller bound than
-# genfunc's; period's key is a graph, of d entries per letter.  An analysis
-# of up to this many distinct subgroups never evicts one.
-CHAR_DATA_CACHE_SIZE = 256
-PERIOD_CACHE_SIZE = 256
-
-
-def _digraph_period(succ: list[list[int]]) -> tuple[int, tuple[int, ...]]:
-    """Period h and the cyclic class of every vertex: its BFS level from
-    vertex 0, mod h.  h is the gcd over all edges u->v of
-    level(u) + 1 - level(v), which equals the gcd of all closed-walk lengths
-    when the digraph is strongly connected; then every walk from u to v has
-    length class(v) - class(u) mod h."""
-    level = [-1] * len(succ)
+@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+def cyclic_structure(graph: SchreierGraph) -> tuple[int, tuple[int, ...]]:
+    """Period of the transition matrix and the cyclic class of every vertex
+    (0-based tuple): its BFS level from vertex 1 over the letter edges,
+    mod the period.  The period h is the gcd over all edges u->v of
+    level(u) + 1 - level(v), which equals the gcd of all closed-walk
+    lengths as the digraph is strongly connected (module docstring); then
+    every walk from u to v has length class(v) - class(u) mod h.  Memoised
+    per graph, so members sharing a graph run one BFS."""
+    action = graph.action
+    level = [-1] * graph.d
     level[0] = 0
-    queue = deque([0])
     order = [0]
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
+    for u in order:  # breadth first: order grows behind the cursor
+        for perm in action:
+            v = perm[u] - 1
             if level[v] < 0:
                 level[v] = level[u] + 1
                 order.append(v)
-                queue.append(v)
     g = 0
-    for u in order:
-        for v in succ[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    # g = 0 only for the edgeless one-vertex digraph, which has no closed walk
-    return g, tuple(x % g for x in level) if g else tuple(level)
-
-
-@lru_cache(maxsize=PERIOD_CACHE_SIZE)
-def cyclic_structure(graph: SchreierGraph) -> tuple[int, tuple[int, ...]]:
-    """Period of the transition matrix and the cyclic class of every vertex
-    (0-based tuple, classes measured from vertex 1), from one BFS over the
-    letter edges.  Memoised per graph, so members sharing a graph run one
-    BFS; the classes equal char_data's, with no characteristic polynomial."""
-    succ = [[] for _ in range(graph.d)]
-    for perm in graph.action:
-        for v, w in enumerate(perm, start=1):
-            succ[v - 1].append(w - 1)
-    return _digraph_period(succ)
+    for perm in action:
+        for u, w in enumerate(perm):
+            g = math.gcd(g, level[u] + 1 - level[w - 1])
+    return g, tuple(x % g for x in level)
 
 
 def period(graph: SchreierGraph) -> int:
@@ -114,34 +94,38 @@ class SpectralSummary(
         "period reciprocal_charpoly zero_multiplicity cyclic_classes",
     )
 ):
-    """Exact characteristic data of a transition matrix: the period, the
-    reciprocal characteristic polynomial q(z) = det(I - zA) with q(0) = 1,
-    the algebraic multiplicity of eigenvalue 0, and per vertex its BFS
-    level from vertex 1 mod the period.  An immutable named tuple, equal
-    to the plain tuple of its fields."""
+    """Exact characteristic data of a Schreier graph's transition matrix:
+    the period, the reciprocal characteristic polynomial q(z) = det(I - zA)
+    with q(0) = 1, the algebraic multiplicity of eigenvalue 0, and per
+    vertex its BFS level from vertex 1 mod the period.  An immutable named
+    tuple, equal to the plain tuple of its fields."""
 
     __slots__ = ()
 
 
-def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
-    """q(z) = det(I - zA) = 1 + c_1 z + ... + c_d z^d for a nonnegative
-    integer matrix A, from the power sums p_k = tr(A^k) by Newton's
+def _reciprocal_charpoly(graph: SchreierGraph) -> IntPolynomial:
+    """q(z) = det(I - zA) = 1 + c_1 z + ... + c_d z^d for the transition
+    matrix A of the graph, from the power sums p_k = tr(A^k) by Newton's
     identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).
 
-    Row i of A^k is held as one integer, the sum of (A^k)_ij << (bits * j).
-    Let r be the largest row sum of A.  The entries of A^k are at most r^k:
-    with 1 the all-ones vector, A^k 1 <= r^k 1 entrywise by induction
-    (A^k 1 = A (A^(k-1) 1) <= r^(k-1) A 1 <= r^k 1, as A >= 0), and an
-    entry of the nonnegative A^k is at most its row sum.  For k <= d
-    every entry is thus below 2^(bits - 1), and so is every partial sum
-    while a row of A^k = A A^(k-1) is accumulated (its terms are
-    nonnegative), so no field ever carries into the next and every entry
-    is read back by a shift and a mask.
+    Row i of A^k is held as one integer, the sum of (A^k)_ij << (bits * j);
+    row i of A holds a_it, the number of letters taking vertex i to t.
+    Every row of A sums to the rank n, so the entries of A^k are at most
+    n^k: with 1 the all-ones vector, A^k 1 = n^k 1, and an entry of the
+    nonnegative A^k is at most its row sum.  For k <= d every entry is
+    thus below 2^(bits - 1), and so is every partial sum while a row of
+    A^k = A A^(k-1) is accumulated (its terms are nonnegative), so no field
+    ever carries into the next and every entry is read back by a shift and
+    a mask.
     """
-    d = len(matrix)
-    bits = (max(map(sum, matrix)) ** d).bit_length() + 1
+    d = graph.d
+    bits = (graph.rank**d).bit_length() + 1
     mask = (1 << bits) - 1
-    terms = [[(t, a) for t, a in enumerate(row) if a] for row in matrix]
+    counts = [{} for _ in range(d)]
+    for perm in graph.action:
+        for i, w in enumerate(perm):
+            counts[i][w - 1] = counts[i].get(w - 1, 0) + 1
+    terms = [list(row.items()) for row in counts]
     rows = [sum(a << (bits * t) for t, a in row) for row in terms]
     coeffs = [1]
     power_sums: list[int] = []
@@ -163,27 +147,18 @@ def _reciprocal_charpoly(matrix: Matrix) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-@lru_cache(maxsize=CHAR_DATA_CACHE_SIZE)
-def char_data(matrix: Matrix) -> SpectralSummary:
+@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+def char_data(graph: SchreierGraph) -> SpectralSummary:
     """Period, q(z) = det(I - zA), the multiplicity of eigenvalue 0, and
-    the cyclic classes of the vertices, all from one BFS and the packed
-    powers A, A^2, ..., A^d.
-
-    Requires an irreducible nonnegative integer matrix (every transition
-    matrix of a Schreier graph qualifies).
-    """
-    d = len(matrix)
-    for row in matrix:
-        if len(row) != d or any(e < 0 for e in row):
-            raise ValueError("square nonnegative integer matrix expected")
-    if not is_irreducible(matrix):
-        raise ValueError("matrix is not irreducible")
-    q = _reciprocal_charpoly(matrix)
-    succ = [[j for j in range(d) if matrix[i][j]] for i in range(d)]
-    h, classes = _digraph_period(succ)
+    the cyclic classes of the vertices of a Schreier graph: the period and
+    classes from cyclic_structure's one BFS, q from the packed powers
+    A, A^2, ..., A^d.  Memoised per graph.  A is irreducible by the lemma
+    of the module docstring, so there is nothing to check."""
+    h, classes = cyclic_structure(graph)
+    q = _reciprocal_charpoly(graph)
     return SpectralSummary(
         period=h,
         reciprocal_charpoly=q,
-        zero_multiplicity=d - q.degree,
+        zero_multiplicity=graph.d - q.degree,
         cyclic_classes=classes,
     )

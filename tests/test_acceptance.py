@@ -182,7 +182,7 @@ def test_criterion_7_spectral_divisibility():
     graphs = _corpus_graphs(corpus)
     for graph in graphs:
         n = graph.rank
-        summary = char_data(transition_matrix(graph))
+        summary = char_data(graph)
         q, h = summary.reciprocal_charpoly, summary.period
         assert IntPolynomial([1, -n]).divides(q)
         assert IntPolynomial([1] + [0] * (h - 1) + [-(n**h)]).divides(q)

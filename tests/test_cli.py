@@ -411,6 +411,20 @@ def test_serialized_values_roundtrip():
     assert formats.cyclo_from_json(formats.cyclo_to_json(x)) == x
 
 
+def test_partition_spec_roundtrips_with_moved_basepoints():
+    specs = [generate_partition(2, 3, 7), z_lift([(2, 0), (3, 1), (6, 2), (6, 5)])]
+    for spec in list(specs):
+        moved = []
+        for m in spec.members:
+            graph = from_permutations(spec.rank, m.graph.action, m.graph.d)
+            moved.append(coset(graph, m.rep))
+        specs.append(PartitionSpec(spec.rank, tuple(moved)))
+    assert any(m.graph.basepoint != 1 for m in specs[-1].members)
+    for spec in specs:
+        obj = json.loads(json.dumps(formats.partition_spec_to_json(spec)))
+        assert formats.parse_partition_file(obj) == spec
+
+
 def imported_by_cli(module: str) -> bool:
     """Whether a fresh interpreter has module loaded after importing the CLI."""
     src = Path(__file__).resolve().parents[1] / "src"

@@ -228,6 +228,10 @@ def test_z_verify_examples():
         [(True, 0)],
         [(2.0, 0), (2, 1)],
         [(0, 0)],
+        [5],
+        [(2,)],
+        [(2, 0, 1)],
+        [None],
     ):
         with pytest.raises(ValueError):
             z_verify(classes)
@@ -277,40 +281,37 @@ def test_z_lift_shares_one_graph_per_modulus(z_coverings):
             assert (a.graph is b.graph) == (a.graph.d == b.graph.d)
 
 
-def test_member_periods_run_once_per_modulus(monkeypatch, z_coverings):
-    digraph_period = spectral._digraph_period
-    calls = []
-
-    def counted(succ):
-        calls.append(len(succ))
-        return digraph_period(succ)
-
-    monkeypatch.setattr(spectral, "_digraph_period", counted)
+def test_member_periods_run_once_per_modulus(z_coverings):
+    # verify_partition (rank 1), member_periods and analyze (whose char_data
+    # reads the same memoised BFS) share one period BFS per modulus
     for classes in z_coverings[-6:]:
         spectral.cyclic_structure.cache_clear()
-        calls.clear()
         lifted = z_lift(classes)
+        assert verify_partition(lifted).ok
         assert member_periods(lifted) == [d for d, _ in classes]
         assert member_periods(lifted) == [d for d, _ in classes]
-        assert len(classes) > len(calls)
-        assert sorted(calls) == sorted({d for d, _ in classes})
+        assert analyze(lifted).all_checks_pass
+        misses = spectral.cyclic_structure.cache_info().misses
+        assert len(classes) > misses == len({d for d, _ in classes})
 
 
 def test_analyze_looks_up_spectra_once_per_graph(monkeypatch, random_graph):
     char_data = spectral.char_data
     looked_up = []
 
-    def counted(matrix):
-        looked_up.append(matrix)
-        return char_data(matrix)
+    def counted(graph):
+        looked_up.append(graph)
+        return char_data(graph)
 
     monkeypatch.setattr(partition, "char_data", counted)
     graph = random_graph(12, 3)
     spec = transversal_partition(graph)
+    spectral.cyclic_structure.cache_clear()
     report = analyze(spec)
     assert report.all_checks_pass
     lemma8_diagnostic(spec)  # reads the period BFS, not char_data
     assert len(looked_up) == 1 and len(spec.members) == 12
+    assert spectral.cyclic_structure.cache_info().misses == 1
 
 
 def test_residue_and_lemma8_wrappers_skip_spectra_and_genfuncs(

@@ -13,7 +13,7 @@ from cosetpart.ratfunc import (
     series_from_matrix,
     walk_counts,
 )
-from cosetpart.spectral import char_data, cyclic_structure, period, transition_matrix
+from cosetpart.spectral import char_data, cyclic_structure, period
 
 
 def test_intpoly_basics():
@@ -154,7 +154,7 @@ def test_numerator_degree_below_zero_multiplicity_bound(graph_family):
     # the degree of p as a rational function is less than the algebraic
     # multiplicity of the zero eigenvalue
     for graph in graph_family.values():
-        cd = char_data(transition_matrix(graph))
+        cd = char_data(graph)
         for end in range(1, graph.d + 1):
             f = genfunc(graph, 1, end)
             assert f.num.degree - f.den.degree < cd.zero_multiplicity
@@ -162,7 +162,7 @@ def test_numerator_degree_below_zero_multiplicity_bound(graph_family):
 
 def _genfunc_by_per_end_walk(graph, start, end):
     """(q * s) mod z^d over q, with s the walk counts to end alone."""
-    q = char_data(transition_matrix(graph)).reciprocal_charpoly
+    q = char_data(graph).reciprocal_charpoly
     s = walk_counts(graph, start, (end,), graph.d - 1)
     num = [
         sum(c * s[k - j] for j, c in enumerate(q.coeffs[: k + 1]))

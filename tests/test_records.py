@@ -20,7 +20,7 @@ from cosetpart.partition import (
 from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import RationalFunction, rational
 from cosetpart.schreier import Coset, NotTransitive, SchreierGraph, coset, from_permutations
-from cosetpart.spectral import SpectralSummary, char_data, transition_matrix
+from cosetpart.spectral import SpectralSummary, char_data
 
 
 def _graph():
@@ -37,7 +37,7 @@ FACTORIES = {
     SchreierGraph: _graph,
     Coset: lambda: Coset(_graph(), 2, (1,)),
     # char_data is memoised, so copy its summary into a fresh record
-    SpectralSummary: lambda: SpectralSummary(*char_data(transition_matrix(_graph()))),
+    SpectralSummary: lambda: SpectralSummary(*char_data(_graph())),
     RationalFunction: lambda: rational([1, 1], [1, 0, -1, 0]),
     PartitionVerdict: lambda: PartitionVerdict(GAP, witness=(1, 2)),
     PartitionSpec: _spec,
