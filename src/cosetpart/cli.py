@@ -19,18 +19,12 @@ import json
 import sys
 
 from . import formats
-from .partition import (
-    _davenport_rado_clauses,
-    _theorem1_clauses,
-    _theorem2_clauses,
-    analyze,
-    generate_partition,
-    z_verify,
-)
-from .ratfunc import genfunc
-from .schreier import InfiniteIndex, NotTransitive, coset, transversal
-from .spectral import char_data, transition_matrix
+from .schreier import InfiniteIndex, NotTransitive
 from .words import InvalidLetter, format_word
+
+# Each command imports the library modules it runs when it runs, so a child
+# process loads only those: zanalyze and generate no polynomial arithmetic,
+# subgroup and zanalyze neither the partition checks nor the corpus.
 
 
 def _load_json(path: str):
@@ -64,6 +58,10 @@ def _show_word(word, rank) -> str:
 
 
 def cmd_subgroup(args) -> int:
+    from .ratfunc import genfunc
+    from .schreier import coset, transversal
+    from .spectral import char_data, transition_matrix
+
     graph = formats.parse_subgroup(_load_json(args.input))
     rank = graph.rank
     summary = char_data(graph)
@@ -124,6 +122,8 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .partition import analyze
+
     spec = formats.parse_partition_file(_load_json(args.input))
     report = analyze(spec, series_depth=args.series_depth, with_oracle=args.oracle)
     rank = spec.rank
@@ -173,6 +173,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_zanalyze(args) -> int:
+    from .covering import (
+        _davenport_rado_clauses,
+        _theorem1_clauses,
+        _theorem2_clauses,
+        z_verify,
+    )
+
     classes = formats.parse_z_file(_load_json(args.input))
     verdict = z_verify(classes)
     print(f"classes: {formats.z_classes_to_json(classes)}")
@@ -246,6 +253,8 @@ def cmd_zanalyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .corpus import generate_partition
+
     spec = generate_partition(args.rank, args.depth, args.seed)
     obj = formats.partition_spec_to_json(spec)
     text = json.dumps(obj, indent=2) + "\n"

@@ -14,37 +14,44 @@ decimal strings so no consumer loses precision; structural integers
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclo import CycloNumber
-from .partition import AnalysisReport, PartitionSpec, PartitionVerdict, _is_int
-from .poly import IntPolynomial
-from .ratfunc import RationalFunction
+from .covering import PartitionSpec, PartitionVerdict, _is_int
 from .schreier import SchreierGraph, coset, fold, from_permutations
 from .words import check_rank, format_word, parse_word
 
+# The writers read only attributes of the exact numbers; the readers import
+# their classes when called, so parsing a subgroup, partition or Z file
+# loads no polynomial arithmetic.
 
-def poly_to_json(p: IntPolynomial) -> list[str]:
+
+def poly_to_json(p) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def poly_from_json(coeffs) -> IntPolynomial:
+def poly_from_json(coeffs):
+    from .poly import IntPolynomial
+
     return IntPolynomial([int(c) for c in coeffs])
 
 
-def ratfunc_to_json(f: RationalFunction) -> dict:
+def ratfunc_to_json(f) -> dict:
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 
-def ratfunc_from_json(obj) -> RationalFunction:
+def ratfunc_from_json(obj):
+    from .ratfunc import RationalFunction
+
     return RationalFunction(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
 
 
-def cyclo_to_json(x: CycloNumber) -> dict:
+def cyclo_to_json(x) -> dict:
     return {"h": x.h, "coeffs": [str(c) for c in x.coeffs]}
 
 
-def cyclo_from_json(obj) -> CycloNumber:
+def cyclo_from_json(obj):
+    from fractions import Fraction
+
+    from .cyclo import CycloNumber
+
     return CycloNumber(obj["h"], [Fraction(c) for c in obj["coeffs"]])
 
 
@@ -124,7 +131,7 @@ def parse_partition_file(obj) -> PartitionSpec:
 
 
 def parse_z_file(obj) -> list:
-    """The classes of a Z-system file as given; partition.normalize_z_classes
+    """The classes of a Z-system file as given; covering.normalize_z_classes
     checks each entry when they are verified."""
     if not isinstance(obj, dict) or "moduli" not in obj:
         raise ValueError("Z-system file needs 'moduli': [[modulus, residue], ...]")
@@ -171,7 +178,8 @@ def _residue_entry_to_json(entry) -> dict:
     }
 
 
-def analysis_report_to_json(report: AnalysisReport) -> dict:
+def analysis_report_to_json(report) -> dict:
+    """The JSON form of a partition.AnalysisReport."""
     rank = report.spec.rank
     return {
         "kind": "partition_analysis",

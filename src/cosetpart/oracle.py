@@ -44,14 +44,8 @@ from __future__ import annotations
 
 import math
 
+from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
 from .cyclo import CycloNumber, cyclotomic
-from .partition import (
-    GAP,
-    IS_PARTITION,
-    OVERLAP,
-    PartitionSpec,
-    PartitionVerdict,
-)
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve

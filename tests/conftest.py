@@ -10,12 +10,8 @@ import random
 
 import pytest
 
-from cosetpart.partition import (
-    PartitionSpec,
-    _kernel_graph,
-    generate_partition,
-    generate_z_covering,
-)
+from cosetpart.corpus import _kernel_graph, generate_partition
+from cosetpart.covering import PartitionSpec, generate_z_covering
 from cosetpart.schreier import NotTransitive, coset, from_permutations, subgroup_coset
 from cosetpart.spectral import period
 

@@ -8,6 +8,16 @@ runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import time
 
+from cosetpart.corpus import generate_partition
+from cosetpart.covering import (
+    GAP,
+    IS_PARTITION,
+    OVERLAP,
+    PartitionSpec,
+    davenport_rado_check,
+    generate_z_covering,
+    z_verify,
+)
 from cosetpart.oracle import (
     count_by_enumeration,
     period_by_cycles,
@@ -15,21 +25,13 @@ from cosetpart.oracle import (
     residue_simple,
 )
 from cosetpart.partition import (
-    GAP,
-    IS_PARTITION,
-    OVERLAP,
-    PartitionSpec,
     check_coefficient_identity,
     check_sum_identity,
-    davenport_rado_check,
-    generate_partition,
-    generate_z_covering,
     member_periods,
     theorem1_check,
     theorem2_check,
     verify_partition,
     z_lift,
-    z_verify,
 )
 from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import genfunc, rational, series_from_matrix

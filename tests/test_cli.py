@@ -2,23 +2,23 @@ import errno
 import io
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cosetpart import formats, partition
+from cosetpart import covering, formats, partition
 from cosetpart.cli import main
+from cosetpart.corpus import generate_partition
+from cosetpart.covering import PartitionSpec, z_verify
 from cosetpart.partition import (
-    PartitionSpec,
-    generate_partition,
     member_periods,
     theorem1_check,
     theorem2_check,
     verify_partition,
     z_lift,
-    z_verify,
 )
 from cosetpart.schreier import coset, from_permutations, subgroup_coset
 
@@ -119,16 +119,14 @@ def test_analyze_overlap_is_exit_2(tmp_path, capsys):
 
 def test_theorem_failure_is_exit_3(tmp_path, monkeypatch):
     # the theorems hold on genuine partitions, so exit 3 is exercised by
-    # stubbing the analysis outcome
-    import cosetpart.cli as cli_mod
-
-    real = cli_mod.analyze
+    # stubbing the analysis outcome where the analyze command looks it up
+    real = partition.analyze
 
     def fake_analyze(spec, **kwargs):
         report = real(spec, **kwargs)
         return report._replace(theorem1=dict(report.theorem1, all_pass=False))
 
-    monkeypatch.setattr(cli_mod, "analyze", fake_analyze)
+    monkeypatch.setattr(partition, "analyze", fake_analyze)
     rc = main(["analyze", write(tmp_path, "mod2.json", MOD2)])
     assert rc == 3
 
@@ -425,16 +423,29 @@ def test_partition_spec_roundtrips_with_moved_basepoints():
         assert formats.parse_partition_file(obj) == spec
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after code runs in a bare interpreter: -I -S keeps
+    the environment and site hooks out, and -B keeps bytecode caches from
+    being written into the source tree (-I ignores PYTHONDONTWRITEBYTECODE).
+    The site-packages directories stay on the path, without their hooks, so
+    an import of an installed package such as networkx still loads it."""
+    path = [str(SRC), *site.getsitepackages()]
+    script = f"import sys; sys.path[:0] = {path!r}\n{code}\nprint(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(out.stdout.splitlines()[-1].split())
+
+
 def imported_by_cli(module: str) -> bool:
     """Whether a fresh interpreter has module loaded after importing the CLI."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = f"import sys, cosetpart.cli; print({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return out.stdout.strip() == "True"
+    return module in loaded_modules("import cosetpart.cli")
 
 
 def test_cli_import_leaves_out_networkx():
@@ -450,23 +461,103 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
     # The records are named tuples, so starting the CLI loads no dataclass
     # machinery (dataclasses pulls in inspect, ast, dis and tokenize) and no
     # typing.  A bare interpreter (-I -S) keeps site hooks from loading them.
-    src = Path(__file__).resolve().parents[1] / "src"
-    unwanted = ["dataclasses", "inspect", "typing", "cosetpart.oracle"]
+    unwanted = {"dataclasses", "inspect", "typing", "cosetpart.oracle"}
+    assert not unwanted & loaded_modules("import cosetpart.cli")
+
+
+def test_package_import_loads_no_module():
+    assert not {m for m in loaded_modules("import cosetpart") if m.startswith("cosetpart.")}
+
+
+def modules_run_by(*argv) -> set[str]:
+    """The modules a fresh interpreter loads to run `cosetpart argv...`."""
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import cosetpart.cli; "
-        f"print([m for m in {unwanted!r} if m in sys.modules])"
+        "import contextlib, io\n"
+        "from cosetpart.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0"
     )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    return loaded_modules(code)
+
+
+def cosetpart_modules(*names):
+    return {f"cosetpart.{name}" for name in names}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    spec = write(tmp_path, "p.json", formats.partition_spec_to_json(generate_partition(2, 3, 7)))
+    # what importing the CLI must not load, no command may load either
+    never = {"dataclasses", "inspect", "typing", "networkx", "cosetpart.oracle"}
+    runs = {
+        "zanalyze": (
+            ["zanalyze", write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})],
+            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition", "corpus")
+            | {"fractions"},
+        ),
+        "generate": (
+            ["generate", "--rank", "2", "--depth", "3", "--seed", "7"],
+            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition"),
+        ),
+        "subgroup": (
+            ["subgroup", write(tmp_path, "fold.json", EX1)],
+            cosetpart_modules("partition", "corpus", "cyclo"),
+        ),
+        "analyze": (["analyze", spec], cosetpart_modules("corpus")),
+    }
+    for command, (argv, unwanted) in runs.items():
+        loaded = modules_run_by(*argv)
+        assert "cosetpart.cli" in loaded, command
+        unwanted |= never
+        assert not unwanted & loaded, (command, sorted(unwanted & loaded))
+
+
+def test_lazy_package_names_resolve_to_their_modules():
+    import importlib
+
+    import cosetpart
+
+    assert cosetpart._MODULE_OF
+    for name, module in cosetpart._MODULE_OF.items():
+        defined = getattr(importlib.import_module(f"cosetpart.{module}"), name)
+        assert getattr(cosetpart, name) is defined, name
+    assert set(cosetpart._MODULE_OF) <= set(dir(cosetpart))
+    namespace: dict = {}
+    exec("from cosetpart import *", namespace)
+    assert set(cosetpart._MODULE_OF) <= set(namespace)
+    for submodule in ("covering", "corpus", "partition"):
+        assert getattr(cosetpart, submodule) is importlib.import_module(f"cosetpart.{submodule}")
+
+
+def test_lazy_package_rejects_unknown_names():
+    import cosetpart
+
+    for name in ("no_such_name", "_MAX_TRIES", "__wrapped__"):
+        with pytest.raises(AttributeError):
+            getattr(cosetpart, name)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_partition_names_the_benchmark_reads_resolve():
+    # perfbench/worker.py reads partition.<name>, and spans.py traces the
+    # partition layer's names, skipping any that are missing
+    import importlib.util
+    import re
+
+    worker_names = set(re.findall(r"\bpartition\.(\w+)", (PERFBENCH / "worker.py").read_text()))
+    assert {"IS_PARTITION", "z_verify", "davenport_rado_check", "z_lift"} <= worker_names
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in worker_names | set(spans.LAYERS["partition"]):
+        assert hasattr(partition, name), name
 
 
 def count_calls(monkeypatch, name):
-    """Count calls of a partition function, whether made through the module
-    or through the name the CLI imported, if it imported it."""
-    from cosetpart import cli
-
+    """Count calls of a partition function, through partition and through
+    covering when it is defined there: each command imports the names it
+    runs from the module that defines them when it runs."""
     calls = []
     original = getattr(partition, name)
 
@@ -474,9 +565,9 @@ def count_calls(monkeypatch, name):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(partition, name, counted)
-    if hasattr(cli, name):
-        monkeypatch.setattr(cli, name, counted)
+    for module in (partition, covering):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -15,16 +15,16 @@ from fractions import Fraction
 
 import pytest
 
+from cosetpart.corpus import generate_partition
+from cosetpart.covering import PartitionSpec
 from cosetpart.cyclo import CycloNumber
 from cosetpart.oracle import pole_order, residue_at, residue_simple
 from cosetpart.partition import (
-    PartitionSpec,
     _lemma8_clauses,
     _member_reports,
     _residue_sum,
     check_coefficient_identity,
     check_sum_identity,
-    generate_partition,
     member_genfunc,
     member_periods,
 )

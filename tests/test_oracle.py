@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cosetpart.covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec
 from cosetpart.oracle import (
     BudgetExceeded,
     NotAPole,
@@ -14,10 +15,6 @@ from cosetpart.oracle import (
     residue_simple,
 )
 from cosetpart.partition import (
-    GAP,
-    IS_PARTITION,
-    OVERLAP,
-    PartitionSpec,
     _cyclic_records,
     _residue_sum,
     member_genfunc,

@@ -6,30 +6,31 @@ from fractions import Fraction
 import pytest
 
 from cosetpart import partition, ratfunc, spectral
-from cosetpart.cyclo import CycloNumber
-from cosetpart.oracle import partition_by_words
-from cosetpart.partition import (
+from cosetpart.corpus import generate_partition, refine_member
+from cosetpart.covering import (
     GAP,
     IS_PARTITION,
     OVERLAP,
     NotAPartition,
     PartitionSpec,
+    davenport_rado_check,
+    generate_z_covering,
+    z_verify,
+)
+from cosetpart.cyclo import CycloNumber
+from cosetpart.oracle import partition_by_words
+from cosetpart.partition import (
     analyze,
     check_coefficient_identity,
     check_sum_identity,
-    davenport_rado_check,
-    generate_partition,
-    generate_z_covering,
     lemma8_diagnostic,
     member_periods,
-    refine_member,
     residue_sum_check,
     theorem1_check,
     theorem2_check,
     verify_partition,
     z_lift,
     z_to_schreier,
-    z_verify,
 )
 from cosetpart.ratfunc import genfunc, geometric, rational
 from cosetpart.schreier import (

@@ -8,15 +8,8 @@ construction.
 
 import pytest
 
-from cosetpart.partition import (
-    GAP,
-    AnalysisReport,
-    CyclicRecord,
-    MemberReport,
-    PartitionSpec,
-    PartitionVerdict,
-    analyze,
-)
+from cosetpart.covering import GAP, PartitionSpec, PartitionVerdict
+from cosetpart.partition import AnalysisReport, CyclicRecord, MemberReport, analyze
 from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import RationalFunction, rational
 from cosetpart.schreier import Coset, NotTransitive, SchreierGraph, coset, from_permutations

@@ -24,19 +24,17 @@ import time
 import tracemalloc
 from collections import deque
 
-from cosetpart.partition import (
+from cosetpart.corpus import generate_partition
+from cosetpart.covering import (
     GAP,
     IS_PARTITION,
     OVERLAP,
     PartitionSpec,
     PartitionVerdict,
-    _orbit_word,
-    generate_partition,
     generate_z_covering,
-    verify_partition,
-    z_lift,
     z_verify,
 )
+from cosetpart.partition import _orbit_word, verify_partition, z_lift
 from cosetpart.schreier import SchreierGraph, coset, from_permutations, membership
 from cosetpart.words import enumerate_positive
 
