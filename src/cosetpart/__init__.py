@@ -6,7 +6,10 @@ as the rank-1 case.
 
 Importing the package loads none of its modules.  Each public name is
 imported from the module that defines it on first access (PEP 562), and
-so is each module, so a program loads only the modules it uses.
+so is each module, so a program loads only the modules it uses.  The
+references (the word enumerations, series_from_matrix, the residues of
+generating functions) are not exported: import them from
+cosetpart.oracle.
 """
 
 __version__ = "0.1.0"
@@ -37,7 +40,7 @@ _EXPORTS = {
         "z_to_schreier",
     ),
     "poly": ("IntPolynomial",),
-    "ratfunc": ("RationalFunction", "genfunc", "geometric", "series_from_matrix"),
+    "ratfunc": ("RationalFunction", "genfunc", "geometric"),
     "schreier": (
         "Coset",
         "InfiniteIndex",
@@ -55,8 +58,6 @@ _EXPORTS = {
     "words": (
         "InvalidLetter",
         "Word",
-        "enumerate_positive",
-        "enumerate_reduced",
         "format_word",
         "parse_word",
         "reduce_word",

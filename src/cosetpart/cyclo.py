@@ -1,28 +1,33 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_h).
+"""Numbers of the cyclotomic fields Q(zeta_h), exactly.
 
 Numbers in Q(zeta_h) are rational-coefficient polynomials in zeta_h
 reduced modulo the h-th cyclotomic polynomial Phi_h.  There is one
 reduction, over the integers: the coefficients are put over the lcm L of
 their denominators, the integer numerators are reduced modulo the monic
 Phi_h in Z[x], and the phi(h) remainders are divided by L once
-(CycloNumber.from_integers takes the numerators and L directly).
+(CycloNumber.from_integers takes the numerators and L directly).  The
+remainders stay ints when L divides all of them, as it does for every
+zero, so a zero sum builds no Fraction; fractions is imported only where
+a coefficient may be non-integral (a remainder L does not divide, or the
+constructor's arbitrary rational coefficients).
 
 For m coprime to h, sigma_m: zeta_h -> zeta_h^m is an automorphism of
 Q(zeta_h) fixing Q (CycloNumber.conjugate, which returns a zero
 unchanged).  partition reads the residues of a partition's members at
 zeta_h / n in closed form from their cyclic classes, as integer buckets
 over one common denominator reduced once per period h, and conjugates the
-sum to every other m.  The residues of the generating functions
-themselves, the reference for that closed form, live in oracle.
+sum to every other m.  That needs no field operations, so this module
+holds none: the residues of the generating functions themselves, the
+reference for that closed form, live in oracle with the arithmetic they
+divide with (oracle.CycloFieldNumber).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .poly import IntPolynomial, divmod_frac
+from .poly import IntPolynomial
 
 # The bound keeps a long-running process from growing without limit; the
 # orders met are periods of Schreier graphs and their divisors, so an
@@ -50,11 +55,11 @@ def _phi_terms(h: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
 
 
-def _reduce(h: int, numerators, den: int) -> tuple[Fraction, ...]:
+def _reduce(h: int, numerators, den: int) -> tuple:
     """Canonical coefficients of (sum_k numerators[k] zeta_h^k) / den: the
     integers are reduced modulo the monic Phi_h in Z[x], using
     zeta^phi = -sum_j c_j zeta^j, and the phi(h) remainders are divided by
-    den once."""
+    den once, as ints when den divides all of them, else as Fractions."""
     phi, terms = _phi_terms(h)
     r = list(numerators)
     for k in range(len(r) - 1, phi - 1, -1):
@@ -65,48 +70,35 @@ def _reduce(h: int, numerators, den: int) -> tuple[Fraction, ...]:
                 r[base + j] -= t * c
     del r[phi:]
     r += [0] * (phi - len(r))
+    if all(c % den == 0 for c in r):
+        return tuple(c // den for c in r)
+    from fractions import Fraction  # only a non-integral coefficient needs it
+
     return tuple(Fraction(c, den) for c in r)
 
 
 def _common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over L, the lcm of the Fractions' denominators."""
+    """Integer numerators over L, the lcm of the denominators of the ints
+    and Fractions."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _qtrim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    res = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] += x * y
-    return res
-
-
-def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _qtrim(out)
-
-
 class CycloNumber:
     """An element of Q(zeta_h): coefficients of a polynomial in zeta_h
-    of degree below phi(h), the canonical representative mod Phi_h."""
+    of degree below phi(h), the canonical representative mod Phi_h.
+
+    The coefficients are ints when all of them are integral (a zero always
+    is) and Fractions otherwise; both forms of a value compare and hash
+    equal.  Two numbers of the same order compare equal iff their
+    coefficients do.  The field operations are the reference arithmetic of
+    oracle.CycloFieldNumber."""
 
     __slots__ = ("h", "coeffs")
 
     def __init__(self, h: int, coeffs=()):
+        from fractions import Fraction  # the coefficients may be any rationals
+
         numerators, den = _common_denominator([Fraction(x) for x in coeffs])
         self._set(h, numerators, den)
 
@@ -124,82 +116,21 @@ class CycloNumber:
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
 
-    @classmethod
-    def from_rational(cls, h: int, value) -> "CycloNumber":
-        return cls(h, [Fraction(value)])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
 
-    def _coerce(self, other):
-        if isinstance(other, CycloNumber):
-            if other.h != self.h:
-                raise ValueError(f"mixed cyclotomic orders {self.h} and {other.h}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber.from_rational(self.h, other)
-        return None
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CycloNumber):
             return NotImplemented
+        if other.h != self.h:
+            raise ValueError(f"mixed cyclotomic orders {self.h} and {other.h}")
         return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.h, self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloNumber(self.h, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNumber(self.h, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloNumber(self.h, _qmul(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CycloNumber":
-        """Extended Euclid against Phi_h, which is irreducible over Q, so
-        every nonzero element is a unit."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        mod = [Fraction(x) for x in cyclotomic(self.h).coeffs]
-        r0, r1 = mod, _qtrim(list(self.coeffs))
-        u0, u1 = [], [Fraction(1)]
-        while r1:
-            q, r = divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _qsub(u0, _qmul(q, u1))
-        # invariant r_i == u_i * self (mod Phi); r0 is a nonzero constant
-        # gcd because Phi_h is irreducible over Q
-        assert len(r0) == 1, "cyclotomic polynomial must be irreducible"
-        scale = 1 / r0[0]
-        return CycloNumber(self.h, [scale * c for c in u0])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def conjugate(self, m: int) -> "CycloNumber":
         """sigma_m(self) for the automorphism zeta_h -> zeta_h^m of
@@ -212,7 +143,7 @@ class CycloNumber:
         out = [0] * self.h
         for k, c in enumerate(numerators):
             out[k * m % self.h] += c
-        return CycloNumber.from_integers(self.h, out, den)
+        return self.from_integers(self.h, out, den)
 
     def __repr__(self):
         return f"CycloNumber(h={self.h}, coeffs={[str(c) for c in self.coeffs]})"

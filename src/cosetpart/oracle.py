@@ -9,10 +9,10 @@ tests require the same answers:
   bound, for analyze --oracle.
 - The word counts (genfunc's series, check_coefficient_identity):
   count_by_enumeration classifies every positive word one by one.
-- genfunc: ratfunc.series_from_matrix, exact matrix powers.  The normal
-  form and e_s (I - zA)^(-1) e_t both have numerator degree < d,
-  denominator degree <= d and denominator constant term 1, so series that
-  agree to 2d terms prove the functions equal (tests/test_ratfunc.py).
+- genfunc: series_from_matrix, exact matrix powers.  The normal form and
+  e_s (I - zA)^(-1) e_t both have numerator degree < d, denominator
+  degree <= d and denominator constant term 1, so series that agree to 2d
+  terms prove the functions equal (tests/test_ratfunc.py).
 - char_data's det(I - zA), packed from a graph's letter permutations:
   reciprocal_charpoly_by_faddeev, the Faddeev-LeVerrier recurrence on
   the whole transition matrix.
@@ -24,6 +24,13 @@ tests require the same answers:
 
 The enumerations have hard budgets with loud errors, never silent
 truncation.
+
+The code that only the references run lives here too, so the production
+modules hold only what a command runs: the word enumerations
+(enumerate_positive, enumerate_reduced), division and divisibility in
+Q[z] (divmod_frac, divides), the derivative, exact matrix powers
+(series_from_matrix) and the field operations of Q(zeta_h)
+(CycloFieldNumber, a CycloNumber with +, -, *, / and rationals coerced).
 
 Residues at z0 = zeta_h^m / n, with z0 handled symbolically through the
 triple (h, m, n), take two steps, neither of them arithmetic in Q(zeta_h)
@@ -42,14 +49,17 @@ term by term:
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
 from .cyclo import CycloNumber, cyclotomic
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
 from .ratfunc import RationalFunction
 from .schreier import Coset, SchreierGraph, membership, resolve
-from .words import enumerate_positive, enumerate_reduced
+from .spectral import transition_matrix
+from .words import Word, check_rank
 
 COUNT_MAX_DEPTH = 14
 CYCLES_MAX_VERTICES = 8
@@ -66,6 +76,38 @@ class NotAPole(ValueError):
 
 class NotSimple(ValueError):
     """The requested pole has multiplicity greater than one."""
+
+
+def enumerate_positive(rank: int, length: int) -> list[Word]:
+    """All n^k positive words of the exact length, in shortlex order."""
+    check_rank(rank)
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    return list(itertools.product(range(1, rank + 1), repeat=length))
+
+
+def enumerate_reduced(rank: int, max_len: int) -> list[Word]:
+    """All freely reduced words of length <= max_len, in shortlex order.
+
+    The signed alphabet is ordered 1, -1, 2, -2, ...; the count is
+    1 + sum_{k=1..L} 2n(2n-1)^(k-1).
+    """
+    check_rank(rank)
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    words: list[Word] = [()]
+    frontier: list[Word] = [()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            last = w[-1] if w else 0
+            for x in letters:
+                if x != -last:
+                    nxt.append(w + (x,))
+        words.extend(nxt)
+        frontier = nxt
+    return words
 
 
 def count_by_enumeration(cst: Coset, depth: int) -> list[int]:
@@ -174,6 +216,179 @@ def reciprocal_charpoly_by_faddeev(matrix) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def series_from_matrix(
+    graph: SchreierGraph, start: int, end: int, depth: int
+) -> list[int]:
+    """a_k = (A^k)_{start,end} for k = 0..depth, by exact matrix powers."""
+    d = graph.d
+    if not (1 <= start <= d and 1 <= end <= d):
+        raise ValueError(f"start/end must lie in 1..{d}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return [row[end - 1] for row in _matrix_power_rows(graph, start, depth)]
+
+
+def _matrix_power_rows(graph: SchreierGraph, start: int, depth: int) -> list[list[int]]:
+    """The rows e_start A^k for k = 0..depth, by dense vector-matrix
+    products: series_from_matrix at every end at once."""
+    d = graph.d
+    matrix = transition_matrix(graph)
+    vec = [0] * d
+    vec[start - 1] = 1
+    rows = [vec]
+    for _ in range(depth):
+        vec = [
+            sum(vec[i] * matrix[i][j] for i in range(d) if vec[i])
+            for j in range(d)
+        ]
+        rows.append(vec)
+    return rows
+
+
+def divmod_frac(num, den):
+    """Quotient and remainder in Q[z] of coefficient sequences (constant
+    term first), as lists with trailing zeros dropped from the remainder.
+
+    Entries may be ints or Fractions.  Division by a monic divisor keeps
+    integer inputs integral; otherwise each quotient entry is a Fraction.
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    dn = len(den)
+    r = list(num)
+    lead = den[-1]
+    quo = [0] * max(len(r) - dn + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        t = r[k + dn - 1]
+        if lead != 1:
+            t = Fraction(t, lead)
+        quo[k] = t
+        if t:
+            for j in range(dn):
+                r[k + j] -= t * den[j]
+    while r and not r[-1]:
+        r.pop()
+    return quo, r
+
+
+def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
+    """True iff p divides q in Q[z] (equivalently, exactly)."""
+    if p.is_zero():
+        return q.is_zero()
+    _, rem = divmod_frac(q.coeffs, p.coeffs)
+    return not rem
+
+
+def derivative(p: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _qtrim(c: list[Fraction]) -> list[Fraction]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    res = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                res[i + j] += x * y
+    return res
+
+
+def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return _qtrim(out)
+
+
+class CycloFieldNumber(CycloNumber):
+    """A CycloNumber with the field operations of Q(zeta_h).  An int or
+    Fraction operand, in arithmetic or ==, is the constant of the same
+    order; numbers of different orders do not mix."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_rational(cls, h: int, value) -> "CycloFieldNumber":
+        return cls(h, [Fraction(value)])
+
+    def _coerce(self, other):
+        if isinstance(other, CycloNumber):
+            if other.h != self.h:
+                raise ValueError(f"mixed cyclotomic orders {self.h} and {other.h}")
+            if isinstance(other, CycloFieldNumber):
+                return other
+            return CycloFieldNumber(self.h, other.coeffs)
+        if isinstance(other, (int, Fraction)):
+            return CycloFieldNumber.from_rational(self.h, other)
+        return None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    __hash__ = CycloNumber.__hash__
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return CycloFieldNumber(self.h, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycloFieldNumber(self.h, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return CycloFieldNumber(self.h, _qmul(list(self.coeffs), list(other.coeffs)))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "CycloFieldNumber":
+        """Extended Euclid against Phi_h, which is irreducible over Q, so
+        every nonzero element is a unit."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        mod = [Fraction(x) for x in cyclotomic(self.h).coeffs]
+        r0, r1 = mod, _qtrim([Fraction(c) for c in self.coeffs])
+        u0, u1 = [], [Fraction(1)]
+        while r1:
+            q, r = divmod_frac(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, _qsub(u0, _qmul(q, u1))
+        # invariant r_i == u_i * self (mod Phi); r0 is a nonzero constant
+        # gcd because Phi_h is irreducible over Q
+        assert len(r0) == 1, "cyclotomic polynomial must be irreducible"
+        scale = 1 / r0[0]
+        return CycloFieldNumber(self.h, [scale * c for c in u0])
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+
 def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
     """The largest k with Phi_h(nz)^k dividing den: the multiplicity of
     every zeta_h^m / n with m coprime to h as a root of den."""
@@ -215,12 +430,12 @@ def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
     return buckets
 
 
-def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
+def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloFieldNumber:
     """p(zeta_h^m / n), exactly."""
-    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
+    return CycloFieldNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
 
 
-def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
+def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloFieldNumber | None:
     """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
     a pole.  Raises NotSimple if z0 is a multiple pole."""
     order = pole_multiplicity(f.den, _root_order(h, m), n)
@@ -228,7 +443,7 @@ def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | Non
         return None
     if order > 1:
         raise NotSimple(f"zeta_{h}^{m}/{n} is a multiple pole")
-    dprime = f.den.derivative()
+    dprime = derivative(f.den)
     num = _scaled_eval(f.num, h, m, n)
     den = _scaled_eval(dprime, h, m, n)
     # N(z0)/D'(z0) = n^(deg D' - deg N) * num/den
@@ -237,7 +452,7 @@ def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | Non
         num = [c * n**shift for c in num]
     else:
         den = [c * n**-shift for c in den]
-    return CycloNumber.from_integers(h, num) / CycloNumber.from_integers(h, den)
+    return CycloFieldNumber.from_integers(h, num) / CycloFieldNumber.from_integers(h, den)
 
 
 def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
@@ -246,7 +461,7 @@ def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
     return pole_multiplicity(f.den, _root_order(h, m), n)
 
 
-def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
+def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloFieldNumber:
     """Residue N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n.
 
     Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.

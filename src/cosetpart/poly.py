@@ -7,13 +7,14 @@ on the primitive parts: the integer gcd of their values at one large
 point, read back as balanced base-xi digits, is accepted only if it
 divides both exactly, which makes it the gcd.  A primitive-PRS Euclid
 over the integers is the fallback when no evaluation point succeeds.
-Division goes through Fractions only when the divisor is not monic.
+Division is exact division in Z[z]; nothing here builds a Fraction.  The
+division in Q[z] (divmod_frac), divisibility in Q[z] and the derivative
+serve only the references and live in oracle.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class IntPolynomial:
@@ -105,16 +106,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divides(self, other: "IntPolynomial") -> bool:
-        """True iff self divides other in Q[z] (equivalently, exactly)."""
-        if self.is_zero():
-            return other.is_zero()
-        _, rem = divmod_frac(other.coeffs, self.coeffs)
-        return not rem
-
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self/divisor; requires zero remainder and an
         integer quotient."""
@@ -144,32 +135,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
-
-
-def divmod_frac(num, den):
-    """Quotient and remainder in Q[z] of coefficient sequences (constant
-    term first), as lists with trailing zeros dropped from the remainder.
-
-    Entries may be ints or Fractions.  Division by a monic divisor keeps
-    integer inputs integral; otherwise each quotient entry is a Fraction.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den)
-    r = list(num)
-    lead = den[-1]
-    quo = [0] * max(len(r) - dn + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        t = r[k + dn - 1]
-        if lead != 1:
-            t = Fraction(t, lead)
-        quo[k] = t
-        if t:
-            for j in range(dn):
-                r[k + j] -= t * den[j]
-    while r and not r[-1]:
-        r.pop()
-    return quo, r
 
 
 def content(p: IntPolynomial) -> int:

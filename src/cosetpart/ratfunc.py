@@ -10,11 +10,12 @@ entries at f of u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i,
 so one walk of d - 1 sparse vector steps along the generator
 permutations gives the numerators for every end vertex at once; genfunc
 reads its end's column from that walk, cached per (graph, start).
-Normal forms come from poly_gcd (GCDHEU, PRS fallback).
-series_from_matrix is the independent route through exact matrix
-powers.  A normal form N'/D with deg N' < d, deg D <= d and D(0) = 1
-whose series matches it to 2d terms is the generating function N/q
-itself: N' q - N D has degree < 2d and vanishes mod z^(2d), so it is 0.
+Normal forms come from poly_gcd (GCDHEU, PRS fallback).  The
+independent route through exact matrix powers is
+oracle.series_from_matrix.  A normal form N'/D with deg N' < d,
+deg D <= d and D(0) = 1 whose series matches it to 2d terms is the
+generating function N/q itself: N' q - N D has degree < 2d and vanishes
+mod z^(2d), so it is 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 from .poly import IntPolynomial, poly_gcd
 from .schreier import SchreierGraph, _tuple_new
-from .spectral import char_data, transition_matrix
+from .spectral import char_data
 
 
 class RationalFunction(namedtuple("RationalFunction", "num den")):
@@ -178,32 +179,3 @@ def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
         raise ValueError(f"start/end must lie in 1..{d}")
     q, table = _numerators(graph, start)
     return RationalFunction(IntPolynomial(table[end - 1]), q)
-
-
-def series_from_matrix(
-    graph: SchreierGraph, start: int, end: int, depth: int
-) -> list[int]:
-    """a_k = (A^k)_{start,end} for k = 0..depth, by exact matrix powers."""
-    d = graph.d
-    if not (1 <= start <= d and 1 <= end <= d):
-        raise ValueError(f"start/end must lie in 1..{d}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return [row[end - 1] for row in _matrix_power_rows(graph, start, depth)]
-
-
-def _matrix_power_rows(graph: SchreierGraph, start: int, depth: int) -> list[list[int]]:
-    """The rows e_start A^k for k = 0..depth, by dense vector-matrix
-    products: series_from_matrix at every end at once."""
-    d = graph.d
-    matrix = transition_matrix(graph)
-    vec = [0] * d
-    vec[start - 1] = 1
-    rows = [vec]
-    for _ in range(depth):
-        vec = [
-            sum(vec[i] * matrix[i][j] for i in range(d) if vec[i])
-            for j in range(d)
-        ]
-        rows.append(vec)
-    return rows

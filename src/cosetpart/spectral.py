@@ -25,7 +25,7 @@ row of A^k is the sum of at most n scaled packed rows of A^(k-1), so
 every step is O(n d) big-integer additions, done in C, instead of
 O(n d^2) interpreted additions of single entries.  The dense matrix
 (transition_matrix) is built only for the subgroup report and the
-series_from_matrix reference.
+references in oracle.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Free-group words: free reduction, text syntax, canonical enumeration.
+"""Free-group words: free reduction and text syntax.
 
 A word over the free group of rank n is stored as a tuple of nonzero
 integers: +i stands for the i-th generator, -i for its inverse.  A
@@ -11,14 +11,12 @@ up to 26 the lowercase letters a, b, c, ... denote generators 1, 2, 3,
 string is the identity.  For rank above 26 the numbered form is used
 instead: x12 is generator 12 and X12 its inverse.
 
-The canonical enumeration order everywhere is shortlex with letters
-ordered by generator index (and, for signed alphabets, each generator
-before its inverse).
+The canonical enumeration order everywhere (the word enumerations of
+oracle) is shortlex with letters ordered by generator index (and, for
+signed alphabets, each generator before its inverse).
 """
 
 from __future__ import annotations
-
-import itertools
 
 Word = tuple[int, ...]
 
@@ -64,10 +62,6 @@ def concat(u: Word, v: Word) -> Word:
         left.pop()
         i += 1
     return tuple(left) + tuple(v[i:])
-
-
-def is_positive(word: Word) -> bool:
-    return all(x > 0 for x in word)
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -120,35 +114,3 @@ def format_word(word: Word, rank: int) -> str:
             parts.append(chr(base + abs(x) - 1))
         return "".join(parts)
     return "".join(("x" if x > 0 else "X") + str(abs(x)) for x in word)
-
-
-def enumerate_positive(rank: int, length: int) -> list[Word]:
-    """All n^k positive words of the exact length, in shortlex order."""
-    check_rank(rank)
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    return list(itertools.product(range(1, rank + 1), repeat=length))
-
-
-def enumerate_reduced(rank: int, max_len: int) -> list[Word]:
-    """All freely reduced words of length <= max_len, in shortlex order.
-
-    The signed alphabet is ordered 1, -1, 2, -2, ...; the count is
-    1 + sum_{k=1..L} 2n(2n-1)^(k-1).
-    """
-    check_rank(rank)
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else 0
-            for x in letters:
-                if x != -last:
-                    nxt.append(w + (x,))
-        words.extend(nxt)
-        frontier = nxt
-    return words

@@ -486,13 +486,20 @@ def cosetpart_modules(*names):
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     spec = write(tmp_path, "p.json", formats.partition_spec_to_json(generate_partition(2, 3, 7)))
-    # what importing the CLI must not load, no command may load either
+    # a rank-1 partition whose report has residue sums at three periods
+    rank1 = generate_partition(1, 3, 2)
+    assert sorted({e["period"] for e in partition.analyze(rank1).residue_sums}) == [4, 12, 20]
+    assert len(partition.analyze(rank1).residue_sums) == 14
+    spec1 = write(tmp_path, "r1.json", formats.partition_spec_to_json(rank1))
+    # what importing the CLI must not load, no command may load either; the
+    # residue sums on a partition are zero, so their coefficients are ints
+    # and no command needs fractions (which loads decimal and numbers)
     never = {"dataclasses", "inspect", "typing", "networkx", "cosetpart.oracle"}
+    never |= {"fractions", "decimal", "numbers"}
     runs = {
         "zanalyze": (
             ["zanalyze", write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})],
-            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition", "corpus")
-            | {"fractions"},
+            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition", "corpus"),
         ),
         "generate": (
             ["generate", "--rank", "2", "--depth", "3", "--seed", "7"],
@@ -503,6 +510,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
             cosetpart_modules("partition", "corpus", "cyclo"),
         ),
         "analyze": (["analyze", spec], cosetpart_modules("corpus")),
+        "analyze rank 1": (["analyze", spec1], cosetpart_modules("corpus")),
     }
     for command, (argv, unwanted) in runs.items():
         loaded = modules_run_by(*argv)

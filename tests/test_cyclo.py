@@ -1,17 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cosetpart import formats
 from cosetpart.cyclo import CycloNumber, cyclotomic
 from cosetpart.oracle import (
+    CycloFieldNumber,
     NotAPole,
     NotSimple,
+    divides,
+    divmod_frac,
     eval_at_root,
     pole_order,
     residue_simple,
 )
-from cosetpart.poly import IntPolynomial, divmod_frac
+from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import genfunc, rational
 from cosetpart.spectral import period
 
@@ -27,24 +32,57 @@ def test_cyclotomic_examples():
 def test_cyclotomic_divides_x_h_minus_1():
     for h in range(1, 25):
         x_h_minus_1 = IntPolynomial([-1] + [0] * (h - 1) + [1])
-        assert cyclotomic(h).divides(x_h_minus_1)
+        assert divides(cyclotomic(h), x_h_minus_1)
         assert sum(cyclotomic(d).degree for d in range(1, h + 1) if h % d == 0) == h
         assert cyclotomic(h).coeffs[-1] == 1  # monic
 
 
 def test_cyclo_number_field_operations():
-    x = CycloNumber(12, [1, 2, 0, 3])
-    y = CycloNumber(12, [0, -1, 5])
+    x = CycloFieldNumber(12, [1, 2, 0, 3])
+    y = CycloFieldNumber(12, [0, -1, 5])
     assert (x + y) - y == x
     assert x * y == y * x
     assert (x * y) * y.inverse() == x
-    assert x * x.inverse() == CycloNumber.from_rational(12, 1)
+    assert x * x.inverse() == CycloFieldNumber.from_rational(12, 1)
     assert (x - x).is_zero()
     assert x * 2 == x + x
     with pytest.raises(ZeroDivisionError):
-        CycloNumber(12).inverse()
+        CycloFieldNumber(12).inverse()
     with pytest.raises(ValueError):
-        x + CycloNumber(5)
+        x + CycloFieldNumber(5)
+    # a plain CycloNumber operand is the same number
+    assert x + CycloNumber(12, [0, -1, 5]) == x + y
+    assert CycloNumber(12, [1, 2, 0, 3]) == x
+    assert CycloFieldNumber(3, [2]).inverse() == Fraction(1, 2)
+
+
+def fraction_form(h, coeffs):
+    """A CycloNumber holding the given coefficients as they are, so with
+    Fractions it is the all-Fraction form of the value, integral
+    coefficients included."""
+    x = CycloNumber.__new__(CycloNumber)
+    object.__setattr__(x, "h", h)
+    object.__setattr__(x, "coeffs", tuple(coeffs))
+    return x
+
+
+def assert_int_form_is_fraction_form(x, expected):
+    """x, built by the integer reduction, is the value whose coefficients
+    are the Fractions in expected: ints where all of them are integral
+    (a zero always is), else those Fractions; equal, of equal hash, repr
+    and JSON, round-tripping through JSON and conjugating alike."""
+    integral = all(c.denominator == 1 for c in expected)
+    assert all(type(c) is (int if integral else Fraction) for c in x.coeffs)
+    assert len(x.coeffs) == len(expected)
+    for c, e in zip(x.coeffs, expected):
+        assert c == e and hash(c) == hash(e) and str(c) == str(e)
+    ref = fraction_form(x.h, expected)
+    assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
+    assert formats.cyclo_to_json(x) == formats.cyclo_to_json(ref)
+    assert formats.cyclo_from_json(formats.cyclo_to_json(x)) == x
+    for m in range(1, x.h + 1):
+        if math.gcd(m, x.h) == 1:
+            assert x.conjugate(m).coeffs == ref.conjugate(m).coeffs
 
 
 def test_integer_reduction_matches_fraction_division():
@@ -65,20 +103,27 @@ def test_integer_reduction_matches_fraction_division():
             rem = divmod_frac(coeffs, cyclotomic(h).coeffs)[1]
             expected = tuple(rem) + (Fraction(0),) * (phi - len(rem))
             assert CycloNumber(h, coeffs).coeffs == expected
-            assert all(type(c) is Fraction for c in CycloNumber(h, coeffs).coeffs)
-            # integer numerators over one (possibly negative) denominator
+            assert_int_form_is_fraction_form(CycloNumber(h, coeffs), expected)
+            # integer numerators over one (possibly negative) denominator:
+            # random buckets, buckets that are multiples of den (integral
+            # values) and multiples of Phi_h (zero sums, as on a partition)
             den = rng.choice([1, 6, -4, 35])
             nums = [rng.randint(-50, 50) for _ in range(length)]
-            rem = divmod_frac([Fraction(x, den) for x in nums], cyclotomic(h).coeffs)[1]
-            expected = tuple(rem) + (Fraction(0),) * (phi - len(rem))
-            assert CycloNumber.from_integers(h, nums, den).coeffs == expected
+            multiple = [rng.randint(-9, 9) for _ in range(max(length - phi, 1))]
+            zero_sum = list((IntPolynomial(multiple) * cyclotomic(h)).coeffs)
+            for nums in (nums, [den * x for x in nums], zero_sum, [0] * length):
+                rem = divmod_frac([Fraction(x, den) for x in nums], cyclotomic(h).coeffs)[1]
+                expected = tuple(rem) + (Fraction(0),) * (phi - len(rem))
+                assert CycloNumber.from_integers(h, nums, den).coeffs == expected
+                assert_int_form_is_fraction_form(CycloNumber.from_integers(h, nums, den), expected)
+            assert CycloNumber.from_integers(h, zero_sum, den).is_zero()
 
 
 def test_zeta_power_reduction():
     # zeta_4^2 = -1
-    assert CycloNumber.from_integers(4, [0, 0, 1]) == CycloNumber.from_rational(4, -1)
+    assert CycloNumber.from_integers(4, [0, 0, 1]) == CycloFieldNumber.from_rational(4, -1)
     # zeta_6 satisfies zeta^2 = zeta - 1
-    z = CycloNumber.from_integers(6, [0, 1])
+    z = CycloFieldNumber.from_integers(6, [0, 1])
     assert z * z == z - 1
 
 

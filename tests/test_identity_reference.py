@@ -18,7 +18,13 @@ import pytest
 from cosetpart.corpus import generate_partition
 from cosetpart.covering import PartitionSpec
 from cosetpart.cyclo import CycloNumber
-from cosetpart.oracle import pole_order, residue_at, residue_simple
+from cosetpart.oracle import (
+    CycloFieldNumber,
+    pole_order,
+    residue_at,
+    residue_simple,
+    series_from_matrix,
+)
 from cosetpart.partition import (
     _lemma8_clauses,
     _member_reports,
@@ -28,7 +34,7 @@ from cosetpart.partition import (
     member_genfunc,
     member_periods,
 )
-from cosetpart.ratfunc import ZERO, geometric, series_from_matrix
+from cosetpart.ratfunc import ZERO, geometric
 from cosetpart.schreier import coset, from_permutations, transversal
 
 DEPTHS = (0, 1, 7, 20)
@@ -138,7 +144,7 @@ def closed_form_matches(reports, n):
                 assert value is None, (r, h)
                 non_poles += 1
             else:
-                expected = CycloNumber.from_integers(h, [0] * ((r.cyclic_class + 1) % h) + [1])
+                expected = CycloFieldNumber.from_integers(h, [0] * ((r.cyclic_class + 1) % h) + [1])
                 assert value == expected * Fraction(-1, n * r.index), (r, h)
                 poles += 1
     return poles, non_poles

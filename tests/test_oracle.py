@@ -8,11 +8,14 @@ from cosetpart.oracle import (
     NotAPole,
     NotSimple,
     count_by_enumeration,
+    enumerate_positive,
+    enumerate_reduced,
     partition_by_words,
     period_by_cycles,
     pole_order,
     residue_at,
     residue_simple,
+    series_from_matrix,
 )
 from cosetpart.partition import (
     _cyclic_records,
@@ -22,9 +25,38 @@ from cosetpart.partition import (
     residue_sum_check,
     z_to_schreier,
 )
-from cosetpart.ratfunc import genfunc, rational, series_from_matrix
+from cosetpart.ratfunc import genfunc, rational
 from cosetpart.schreier import coset, from_permutations, subgroup_coset, transversal
 from cosetpart.spectral import period
+from cosetpart.words import reduce_word
+
+
+def test_enumerate_positive_counts_and_order():
+    assert enumerate_positive(2, 0) == [()]
+    assert enumerate_positive(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert len(enumerate_positive(3, 3)) == 27
+    for rank in (1, 2, 3):
+        for k in range(0, 9):
+            words = enumerate_positive(rank, k)
+            assert len(words) == rank**k
+            assert len(set(words)) == len(words)
+            assert words == sorted(words)
+
+
+def test_enumerate_reduced_counts():
+    assert len(enumerate_reduced(2, 1)) == 5
+    assert len(enumerate_reduced(2, 2)) == 17
+    assert len(enumerate_reduced(1, 3)) == 7
+    for rank in (1, 2, 3):
+        for max_len in range(0, 6):
+            words = enumerate_reduced(rank, max_len)
+            expected = 1 + sum(
+                2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, max_len + 1)
+            )
+            assert len(words) == expected
+            assert len(set(words)) == len(words)
+            for w in words:
+                assert reduce_word(w, rank) == w
 
 
 def test_count_examples(fig1_graph, mod2_graph):

@@ -17,8 +17,7 @@ from cosetpart.covering import (
     generate_z_covering,
     z_verify,
 )
-from cosetpart.cyclo import CycloNumber
-from cosetpart.oracle import partition_by_words
+from cosetpart.oracle import CycloFieldNumber, partition_by_words
 from cosetpart.partition import (
     analyze,
     check_coefficient_identity,
@@ -151,7 +150,7 @@ def test_residue_sum_examples(mod2_partition, fig1_transversal_partition):
         assert residue_sum_check(fig1_transversal_partition, 4, m).is_zero()
     # full-group base case: the sum at h=1 is the residue of 1/(1-nz)
     whole = PartitionSpec(2, (subgroup_coset(trivial_graph(2)),))
-    assert residue_sum_check(whole, 1, 0) == CycloNumber.from_rational(1, Fraction(-1, 2))
+    assert residue_sum_check(whole, 1, 0) == CycloFieldNumber.from_rational(1, Fraction(-1, 2))
     with pytest.raises(ValueError):
         residue_sum_check(mod2_partition, 4, 2)  # m not coprime to h
 
@@ -176,6 +175,18 @@ def test_residue_sums_are_galois_conjugates():
                 if math.gcd(m, h) == 1:
                     assert partition._residue_sum(recs, n, h, m) == first.conjugate(m)
     assert nonzero > 1500
+
+
+def test_partition_residue_sums_are_integral_zeros(corpus):
+    # every residue sum analyze reports on a partition is zero, and a zero
+    # is held with int coefficients, so reporting it builds no Fraction
+    entries = 0
+    for key, spec in corpus.items():
+        for e in analyze(spec).residue_sums:
+            entries += 1
+            assert e["is_zero"], (key, e["period"], e["m"])
+            assert all(type(c) is int for c in e["value"].coeffs), (key, e["period"], e["m"])
+    assert entries > 0
 
 
 def test_lemma8_examples(mod2_partition, fig1_transversal_partition):
@@ -448,7 +459,7 @@ def test_word_oracle_confirms_defects(mod2_graph, fig1_graph):
 def test_properties_hold_on_corpus(corpus):
     import math
 
-    from cosetpart.ratfunc import series_from_matrix
+    from cosetpart.oracle import series_from_matrix
 
     for key, spec in corpus.items():
         assert verify_partition(spec).ok, key

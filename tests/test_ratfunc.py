@@ -1,16 +1,15 @@
 import pytest
 
 from cosetpart.cyclo import cyclotomic
+from cosetpart.oracle import _matrix_power_rows, derivative, divides, series_from_matrix
 from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
     RationalFunction,
-    _matrix_power_rows,
     _numerators,
     genfunc,
     geometric,
     rational,
-    series_from_matrix,
     walk_counts,
 )
 from cosetpart.spectral import char_data, cyclic_structure, period
@@ -25,7 +24,7 @@ def test_intpoly_basics():
     assert (-q).coeffs == (0, -2)
     assert IntPolynomial([0, 0]).is_zero()
     assert p(2) == 1 - 16
-    assert p.derivative() == IntPolynomial([0, -8])
+    assert derivative(p) == IntPolynomial([0, -8])
     assert str(IntPolynomial([1, 0, 0, 0, -16])) == "1 - 16*z^4"
 
 
@@ -35,8 +34,8 @@ def test_poly_gcd_and_exact_div():
     assert poly_gcd(a, b) == IntPolynomial([1, 2])
     assert a.exact_div(b) == IntPolynomial([1, -2])
     assert poly_gcd(IntPolynomial([2, 2]), IntPolynomial([4])) == IntPolynomial([2])
-    assert b.divides(a)
-    assert not IntPolynomial([1, 1]).divides(IntPolynomial([1, 2]))
+    assert divides(b, a)
+    assert not divides(IntPolynomial([1, 1]), IntPolynomial([1, 2]))
     with pytest.raises(ValueError):
         a.exact_div(IntPolynomial([1, 1]))
 
@@ -147,7 +146,7 @@ def test_pole_rotations_divide_denominator(graph_family):
         h = period(graph)
         rotations = IntPolynomial([1] + [0] * (h - 1) + [-(n**h)])
         for end in range(1, graph.d + 1):
-            assert rotations.divides(genfunc(graph, 1, end).den)
+            assert divides(rotations, genfunc(graph, 1, end).den)
 
 
 def test_numerator_degree_below_zero_multiplicity_bound(graph_family):

@@ -1,5 +1,6 @@
 import pytest
 
+from cosetpart.oracle import enumerate_reduced
 from cosetpart.schreier import (
     Coset,
     InfiniteIndex,
@@ -12,7 +13,7 @@ from cosetpart.schreier import (
     subgroup_coset,
     transversal,
 )
-from cosetpart.words import enumerate_reduced, parse_word
+from cosetpart.words import parse_word
 
 FIG1_GENERATORS = ["aaaa", "bbbb", "aB", "aaBB", "aaaBBB"]
 

@@ -34,9 +34,9 @@ from cosetpart.covering import (
     generate_z_covering,
     z_verify,
 )
+from cosetpart.oracle import enumerate_positive
 from cosetpart.partition import _orbit_word, verify_partition, z_lift
 from cosetpart.schreier import SchreierGraph, coset, from_permutations, membership
-from cosetpart.words import enumerate_positive
 
 SHORT_WITNESS = 6
 

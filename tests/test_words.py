@@ -3,11 +3,10 @@ import random
 
 import pytest
 
+from cosetpart.oracle import enumerate_reduced
 from cosetpart.words import (
     InvalidLetter,
     concat,
-    enumerate_positive,
-    enumerate_reduced,
     format_word,
     inverse,
     parse_word,
@@ -72,34 +71,6 @@ def test_word_times_inverse_is_identity():
             w = reduce_word(raw, rank)
             assert concat(w, inverse(w)) == ()
             assert concat(inverse(w), w) == ()
-
-
-def test_enumerate_positive_counts_and_order():
-    assert enumerate_positive(2, 0) == [()]
-    assert enumerate_positive(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(enumerate_positive(3, 3)) == 27
-    for rank in (1, 2, 3):
-        for k in range(0, 9):
-            words = enumerate_positive(rank, k)
-            assert len(words) == rank**k
-            assert len(set(words)) == len(words)
-            assert words == sorted(words)
-
-
-def test_enumerate_reduced_counts():
-    assert len(enumerate_reduced(2, 1)) == 5
-    assert len(enumerate_reduced(2, 2)) == 17
-    assert len(enumerate_reduced(1, 3)) == 7
-    for rank in (1, 2, 3):
-        for max_len in range(0, 6):
-            words = enumerate_reduced(rank, max_len)
-            expected = 1 + sum(
-                2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, max_len + 1)
-            )
-            assert len(words) == expected
-            assert len(set(words)) == len(words)
-            for w in words:
-                assert reduce_word(w, rank) == w
 
 
 def test_parse_format_letter_form():
