@@ -7,8 +7,11 @@ tests require the same answers:
   over residues mod lcm in tests/test_verify_reference.py;
   partition_by_words here classifies every reduced word up to a length
   bound, for analyze --oracle.
-- The word counts (genfunc's series, check_coefficient_identity):
-  count_by_enumeration classifies every positive word one by one.
+- The word counts (genfunc's series, from which the coefficient
+  identity is read): count_by_enumeration classifies every positive word
+  one by one.  walk_counts counts them by sparse steps along the letter
+  permutations, one end set at a time; the tests rebuild genfunc's
+  numerators from it (tests/test_ratfunc.py).
 - genfunc: series_from_matrix, exact matrix powers.  The normal form and
   e_s (I - zA)^(-1) e_t both have numerator degree < d, denominator
   degree <= d and denominator constant term 1, so series that agree to 2d
@@ -28,9 +31,10 @@ truncation.
 The code that only the references run lives here too, so the production
 modules hold only what a command runs: the word enumerations
 (enumerate_positive, enumerate_reduced), division and divisibility in
-Q[z] (divmod_frac, divides), the derivative, exact matrix powers
-(series_from_matrix) and the field operations of Q(zeta_h)
-(CycloFieldNumber, a CycloNumber with +, -, *, / and rationals coerced).
+Q[z] (divmod_frac, divides), the derivative, walks and exact matrix
+powers (walk_counts, series_from_matrix) and the field operations of
+Q(zeta_h) (CycloFieldNumber, a CycloNumber with +, -, *, / and rationals
+coerced).
 
 Residues at z0 = zeta_h^m / n, with z0 handled symbolically through the
 triple (h, m, n), take two steps, neither of them arithmetic in Q(zeta_h)
@@ -51,12 +55,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
 from .cyclo import CycloNumber, cyclotomic
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _step
 from .schreier import Coset, SchreierGraph, membership, resolve
 from .spectral import transition_matrix
 from .words import Word, check_rank
@@ -214,6 +219,22 @@ def reciprocal_charpoly_by_faddeev(matrix) -> IntPolynomial:
             product.append(acc)
         m = product
     return IntPolynomial(coeffs)
+
+
+def walk_counts(
+    graph: SchreierGraph, start: int, ends: Iterable[int], depth: int
+) -> list[int]:
+    """s_k = sum over end in ends of (e_start A^k)_end for k = 0..depth:
+    the positive words of length k leading from start to any of the ends,
+    an end listed twice counting twice.  One sparse vector step per k."""
+    vec = [0] * graph.d
+    vec[start - 1] = 1
+    ends = [end - 1 for end in ends]
+    out = [sum(vec[e] for e in ends)]
+    for _ in range(depth):
+        vec = _step(graph, vec)
+        out.append(sum(vec[e] for e in ends))
+    return out
 
 
 def series_from_matrix(

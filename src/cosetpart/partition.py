@@ -20,10 +20,13 @@ period that does not properly divide another, and every period divides
 some other member's period; the residues of the members' generating
 functions at each scaled root of unity sum to zero; and when the
 largest-index member attains its period as index, the largest index
-repeats.  The identities run once per distinct Schreier graph or
-denominator, not per member.  Residues and lemma 8 come in closed form
-from each member's index d_i, period h_i and cyclic class l_i (see
-_residue_sum): at zeta_h / n the check reads
+repeats.  The sum and coefficient identities are decided together, by
+cross-multiplying over the distinct denominators with no gcd and no
+walk; the residual is put in normal form only when it is nonzero, and
+the coefficient identity is then read off its series (see _identities).
+Residues and lemma 8 come in closed form from each member's index d_i,
+period h_i and cyclic class l_i (see _residue_sum): at zeta_h / n the
+check reads
 sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
 literal.  z_lift (one shared d-cycle per modulus d) gives a covering
 system of Z to the general machinery, with the certificate's verdict and
@@ -57,7 +60,7 @@ from .covering import (
 from .covering import davenport_rado_check, z_verify  # noqa: F401
 from .cyclo import CycloNumber
 from .poly import IntPolynomial
-from .ratfunc import ZERO, RationalFunction, genfunc, walk_counts
+from .ratfunc import ZERO, RationalFunction, genfunc
 from .schreier import Coset, SchreierGraph
 from .spectral import SpectralSummary, char_data, cyclic_structure, period
 from .words import Word
@@ -158,25 +161,54 @@ def member_genfunc(member: Coset) -> RationalFunction:
 
 
 def check_sum_identity(spec: PartitionSpec) -> tuple[bool, RationalFunction]:
-    """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual too.
-    Numerators over one denominator are added before one normalisation."""
-    nums = {IntPolynomial([1, -spec.rank]): IntPolynomial([-1])}  # -1/(1-nz)
-    for f in map(member_genfunc, spec.members):
-        nums[f.den] = nums.get(f.den, ZERO.num) + f.num
-    residual = sum((RationalFunction(num, den) for den, num in nums.items()), ZERO)
-    return residual.is_zero(), residual
+    """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual
+    sum_i p_i - 1/(1-nz) in normal form too (see _identities)."""
+    sum_ok, residual, _ = _identities(spec, 0)
+    return sum_ok, residual
 
 
 def check_coefficient_identity(spec: PartitionSpec, depth: int) -> bool:
-    """sum_i a_{i,k} = n^k for all k <= depth, from one sparse walk of depth
-    steps per distinct Schreier graph, out of the basepoint its members share."""
+    """sum_i a_{i,k} = n^k for all k <= depth (see _identities)."""
+    return _identities(spec, depth)[2]
+
+
+def _identities(
+    spec: PartitionSpec, depth: int
+) -> tuple[bool, RationalFunction, bool]:
+    """The sum identity, its residual, and the coefficient identity up to
+    depth, decided together.
+
+    The members' numerators over one denominator are added first, giving
+    pairs (M_j, D_j), and lhs/rhs = sum_j M_j/D_j is accumulated by
+    cross-multiplication, lhs <- lhs D_j + M_j rhs and rhs <- rhs D_j, with
+    no gcd.  The sum identity holds iff (1 - nz) lhs = rhs, an identity in
+    Z[z], so no degree bound enters.  Coefficient k of
+    sum_i p_i - 1/(1-nz) is sum_i a_{i,k} - n^k, so the coefficient
+    identity up to depth holds iff the residual's first depth + 1 series
+    terms vanish: at every depth when the sum identity holds.  Only when
+    it fails is the residual put in normal form, one gcd per denominator
+    group and per addition, and its series read.
+
+    Cost: with S = sum_j deg D_j, rhs ends at degree S and lhs below it,
+    so the cross-multiplications and the final product take O(S^2)
+    integer multiplications, however many members share each D_j.  No
+    graph is walked.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    ends: dict[SchreierGraph, list[int]] = {}
-    for member in spec.members:
-        ends.setdefault(member.graph, []).append(member.vertex)
-    counts = [walk_counts(g, g.basepoint, vs, depth) for g, vs in ends.items()]
-    return list(map(sum, zip(*counts))) == [spec.rank**k for k in range(depth + 1)]
+    nums: dict[IntPolynomial, IntPolynomial] = {}
+    for f in map(member_genfunc, spec.members):
+        nums[f.den] = nums.get(f.den, ZERO.num) + f.num
+    lhs, rhs = ZERO.num, ZERO.den
+    for den, num in nums.items():
+        lhs, rhs = lhs * den + num * rhs, rhs * den
+    geometric_den = IntPolynomial([1, -spec.rank])
+    if geometric_den * lhs == rhs:
+        return True, ZERO, True
+    # -1/(1-nz), merged into a member's denominator 1 - nz if there is one
+    nums[geometric_den] = nums.get(geometric_den, ZERO.num) - 1
+    residual = sum((RationalFunction(num, den) for den, num in nums.items()), ZERO)
+    return False, residual, not any(residual.series(depth))
 
 
 def member_periods(spec: PartitionSpec) -> list[int]:
@@ -472,8 +504,7 @@ def analyze(
     verdict = verify_partition(spec)
     members = _member_reports(spec.members)
 
-    sum_ok, residual = check_sum_identity(spec)
-    coeff_ok = check_coefficient_identity(spec, series_depth)
+    sum_ok, residual, coeff_ok = _identities(spec, series_depth)
 
     theorem1 = theorem2 = lemma8 = None
     residue_entries: list[dict] = []

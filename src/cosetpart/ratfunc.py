@@ -11,8 +11,9 @@ so one walk of d - 1 sparse vector steps along the generator
 permutations gives the numerators for every end vertex at once; genfunc
 reads its end's column from that walk, cached per (graph, start).
 Normal forms come from poly_gcd (GCDHEU, PRS fallback).  The
-independent route through exact matrix powers is
-oracle.series_from_matrix.  A normal form N'/D with deg N' < d,
+independent routes are in oracle: exact matrix powers
+(series_from_matrix), and walk_counts, one walk per end, from which the
+tests rebuild each numerator.  A normal form N'/D with deg N' < d,
 deg D <= d and D(0) = 1 whose series matches it to 2d terms is the
 generating function N/q itself: N' q - N D has degree < 2d and vanishes
 mod z^(2d), so it is 0.
@@ -21,7 +22,6 @@ mod z^(2d), so it is 0.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from functools import lru_cache
 
 from .poly import IntPolynomial, poly_gcd
@@ -126,22 +126,6 @@ def _step(graph: SchreierGraph, vec: list[int]) -> list[int]:
             if count:
                 nxt[perm[v] - 1] += count
     return nxt
-
-
-def walk_counts(
-    graph: SchreierGraph, start: int, ends: Iterable[int], depth: int
-) -> list[int]:
-    """s_k = sum over end in ends of (e_start A^k)_end for k = 0..depth:
-    the positive words of length k leading from start to any of the ends,
-    an end listed twice counting twice.  One sparse vector step per k."""
-    vec = [0] * graph.d
-    vec[start - 1] = 1
-    ends = [end - 1 for end in ends]
-    out = [sum(vec[e] for e in ends)]
-    for _ in range(depth):
-        vec = _step(graph, vec)
-        out.append(sum(vec[e] for e in ends))
-    return out
 
 
 # Tables are d x d integers and are only read while a graph's generating

@@ -1,14 +1,15 @@
 """The grouped identity checks and the closed-form residues against
 per-member references.
 
-`check_coefficient_identity` walks once per distinct Schreier graph,
-`check_sum_identity` normalises once per distinct denominator, and the
-residues and lemma 8 are read from each member's index, period and cyclic
-class.  The references below do the same work one member at a time: dense
-matrix powers per member, one rational addition per member, and residues
-of the members' generating functions (`oracle.pole_order`, `residue_at`,
-`residue_simple`).  Both must agree on partitions and on defective
-families alike.
+`check_sum_identity` and `check_coefficient_identity` decide both
+identities by one cross-multiplication over the distinct denominators,
+and read the coefficient identity off the residual's series when the sum
+fails; the residues and lemma 8 are read from each member's index,
+period and cyclic class.  The references below do the same work one
+member at a time: dense matrix powers per member, one rational addition
+per member, and residues of the members' generating functions
+(`oracle.pole_order`, `residue_at`, `residue_simple`).  Both must agree
+on partitions and on defective families alike.
 """
 
 from fractions import Fraction

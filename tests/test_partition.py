@@ -527,6 +527,39 @@ def test_analyze_on_defective_family(mod2_graph):
     assert report.theorem1 is None and report.theorem2 is None
 
 
+def test_identity_failures_agree_between_analyze_and_the_checks():
+    """Two families on which the sum identity fails.  The whole of F_2
+    twice: its denominator is 1 - 2z itself, so -1/(1-2z) merges into that
+    member's numerator group.  A rank-1 family whose coefficient identity
+    first fails at depth 5."""
+    whole = subgroup_coset(trivial_graph(2))
+    cases = [
+        (PartitionSpec(2, (whole, whole)), rational([1], [1, -2]), 0),
+        (
+            z_lift([(3, 0), (3, 1), (6, 2)]),
+            rational([0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 0, -1]),  # -z^5/(1-z^6)
+            5,
+        ),
+    ]
+    for spec, residual, first_failure in cases:
+        assert check_sum_identity(spec) == (False, residual)
+        for depth in range(first_failure + 3):
+            holds = depth < first_failure
+            assert check_coefficient_identity(spec, depth) is holds, (spec, depth)
+            report = analyze(spec, series_depth=depth)
+            assert report.sum_identity_holds is False
+            assert report.sum_residual == residual
+            assert report.coefficient_identity_holds is holds
+
+
+def test_negative_depth_is_rejected():
+    spec = generate_partition(2, 1, 1)
+    with pytest.raises(ValueError):
+        analyze(spec, series_depth=-1)
+    with pytest.raises(ValueError):
+        check_coefficient_identity(spec, -1)
+
+
 def test_mixed_rank_members_rejected(mod2_graph):
     with pytest.raises(ValueError):
         PartitionSpec(1, (subgroup_coset(mod2_graph),))

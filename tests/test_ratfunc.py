@@ -1,7 +1,13 @@
 import pytest
 
 from cosetpart.cyclo import cyclotomic
-from cosetpart.oracle import _matrix_power_rows, derivative, divides, series_from_matrix
+from cosetpart.oracle import (
+    _matrix_power_rows,
+    derivative,
+    divides,
+    series_from_matrix,
+    walk_counts,
+)
 from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
@@ -10,7 +16,6 @@ from cosetpart.ratfunc import (
     genfunc,
     geometric,
     rational,
-    walk_counts,
 )
 from cosetpart.spectral import char_data, cyclic_structure, period
 
