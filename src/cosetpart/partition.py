@@ -21,9 +21,12 @@ some other member's period; the residues of the members' generating
 functions at each scaled root of unity sum to zero; and when the
 largest-index member attains its period as index, the largest index
 repeats.  The sum and coefficient identities are decided together, by
-cross-multiplying over the distinct denominators with no gcd and no
-walk; the residual is put in normal form only when it is nonzero, and
-the coefficient identity is then read off its series (see _identities).
+cross-multiplying over the distinct denominators, with no gcd and no
+walk, at one power-of-two point: an L1 bound on the cross-multiplied
+identity's coefficients puts the point beyond every nonzero residual's
+reach, so one big-integer comparison decides the identity in Z[z].  The
+residual is put in normal form only when it is nonzero, and the
+coefficient identity is then read off its series (see _identities).
 Residues and lemma 8 come in closed form from each member's index d_i,
 period h_i and cyclic class l_i (see _residue_sum): at zeta_h / n the
 check reads
@@ -163,49 +166,73 @@ def member_genfunc(member: Coset) -> RationalFunction:
 def check_sum_identity(spec: PartitionSpec) -> tuple[bool, RationalFunction]:
     """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual
     sum_i p_i - 1/(1-nz) in normal form too (see _identities)."""
-    sum_ok, residual, _ = _identities(spec, 0)
+    sum_ok, residual, _ = _identities(spec.rank, _member_genfuncs(spec), 0)
     return sum_ok, residual
 
 
 def check_coefficient_identity(spec: PartitionSpec, depth: int) -> bool:
     """sum_i a_{i,k} = n^k for all k <= depth (see _identities)."""
-    return _identities(spec, depth)[2]
+    return _identities(spec.rank, _member_genfuncs(spec), depth)[2]
+
+
+def _member_genfuncs(spec: PartitionSpec) -> list[RationalFunction]:
+    return [member_genfunc(m) for m in spec.members]
 
 
 def _identities(
-    spec: PartitionSpec, depth: int
+    n: int, genfuncs: list[RationalFunction], depth: int
 ) -> tuple[bool, RationalFunction, bool]:
-    """The sum identity, its residual, and the coefficient identity up to
-    depth, decided together.
+    """The sum identity sum_i p_i = 1/(1-nz) for the members' generating
+    functions p_i in rank n, its residual, and the coefficient identity up
+    to depth, decided together.
 
-    The members' numerators over one denominator are added first, giving
-    pairs (M_j, D_j), and lhs/rhs = sum_j M_j/D_j is accumulated by
-    cross-multiplication, lhs <- lhs D_j + M_j rhs and rhs <- rhs D_j, with
-    no gcd.  The sum identity holds iff (1 - nz) lhs = rhs, an identity in
-    Z[z], so no degree bound enters.  Coefficient k of
-    sum_i p_i - 1/(1-nz) is sum_i a_{i,k} - n^k, so the coefficient
-    identity up to depth holds iff the residual's first depth + 1 series
-    terms vanish: at every depth when the sum identity holds.  Only when
-    it fails is the residual put in normal form, one gcd per denominator
-    group and per addition, and its series read.
+    The numerators over one denominator are added first, giving pairs
+    (M_j, D_j), and lhs/rhs = sum_j M_j/D_j stands for the
+    cross-multiplication lhs <- lhs D_j + M_j rhs, rhs <- rhs D_j (from
+    0/1), with no gcd.  The sum identity holds iff F = (1 - nz) lhs - rhs
+    is 0 in Z[z], and that is decided at one point.  The same recurrence
+    on L1 norms, with |f g|_1 <= |f|_1 |g|_1 and |f + g|_1 <= |f|_1 +
+    |g|_1, bounds |lhs|_1 and |rhs|_1, so every coefficient of F is at
+    most b = (1 + n) |lhs|_1 + |rhs|_1 in absolute value.  Take
+    X = 2^k with 2^(k-1) > b and run the recurrence on the values
+    M_j(X), D_j(X); evaluation is a ring homomorphism, so this gives
+    lhs(X), rhs(X) and F(X) = (1 - nX) lhs(X) - rhs(X) exactly.  If
+    F != 0, let c z^i be its lowest term: F(X) = X^i (c + X r) for an
+    integer r, and 0 < |c| < X/2, so X does not divide c and F(X) != 0.
+    So the integer test (1 - nX) lhs(X) == rhs(X) is the identity in Z[z];
+    a residual vanishing at a small point (8 - z at z = 8) cannot pass.
 
-    Cost: with S = sum_j deg D_j, rhs ends at degree S and lhs below it,
-    so the cross-multiplications and the final product take O(S^2)
-    integer multiplications, however many members share each D_j.  No
-    graph is walked.
+    Coefficient k of sum_i p_i - 1/(1-nz) is sum_i a_{i,k} - n^k, so the
+    coefficient identity up to depth holds iff the residual's first
+    depth + 1 series terms vanish: at every depth when the sum identity
+    holds.  Only when it fails is the residual put in normal form, one gcd
+    per denominator group and per addition, and its series read.
+
+    Cost: with S = sum_j deg D_j and k the bound's bit length plus one,
+    every value is an integer of at most (S + 1) k bits, and each
+    denominator group costs three big-integer products, against O(S^2)
+    coefficient products for the cross-multiplication in Z[z].  The norms
+    are small integer sums.  No graph is walked and no gcd is taken.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     nums: dict[IntPolynomial, IntPolynomial] = {}
-    for f in map(member_genfunc, spec.members):
+    for f in genfuncs:
         nums[f.den] = nums.get(f.den, ZERO.num) + f.num
-    lhs, rhs = ZERO.num, ZERO.den
+    lhs_norm, rhs_norm = 0, 1
     for den, num in nums.items():
-        lhs, rhs = lhs * den + num * rhs, rhs * den
-    geometric_den = IntPolynomial([1, -spec.rank])
-    if geometric_den * lhs == rhs:
+        den_norm = sum(map(abs, den.coeffs))
+        lhs_norm = lhs_norm * den_norm + sum(map(abs, num.coeffs)) * rhs_norm
+        rhs_norm *= den_norm
+    k = ((1 + n) * lhs_norm + rhs_norm).bit_length() + 1
+    lhs, rhs = 0, 1
+    for den, num in nums.items():
+        den_value = den.at_power_of_two(k)
+        lhs, rhs = lhs * den_value + num.at_power_of_two(k) * rhs, rhs * den_value
+    if (1 - (n << k)) * lhs == rhs:
         return True, ZERO, True
     # -1/(1-nz), merged into a member's denominator 1 - nz if there is one
+    geometric_den = IntPolynomial([1, -n])
     nums[geometric_den] = nums.get(geometric_den, ZERO.num) - 1
     residual = sum((RationalFunction(num, den) for den, num in nums.items()), ZERO)
     return False, residual, not any(residual.series(depth))
@@ -504,7 +531,9 @@ def analyze(
     verdict = verify_partition(spec)
     members = _member_reports(spec.members)
 
-    sum_ok, residual, coeff_ok = _identities(spec, series_depth)
+    sum_ok, residual, coeff_ok = _identities(
+        spec.rank, [r.genfunc for r in members], series_depth
+    )
 
     theorem1 = theorem2 = lemma8 = None
     residue_entries: list[dict] = []

@@ -7,9 +7,12 @@ on the primitive parts: the integer gcd of their values at one large
 point, read back as balanced base-xi digits, is accepted only if it
 divides both exactly, which makes it the gcd.  A primitive-PRS Euclid
 over the integers is the fallback when no evaluation point succeeds.
-Division is exact division in Z[z]; nothing here builds a Fraction.  The
-division in Q[z] (divmod_frac), divisibility in Q[z] and the derivative
-serve only the references and live in oracle.
+Values at a power of two 2^k are read by shifts (at_power_of_two); the
+one-point certificates of ratfunc (coprimality) and partition (the sum
+identity) rest on them.  Division is exact division in Z[z]; nothing
+here builds a Fraction.  The division in Q[z] (divmod_frac),
+divisibility in Q[z] and the derivative serve only the references and
+live in oracle.
 """
 
 from __future__ import annotations
@@ -104,6 +107,13 @@ class IntPolynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
+        return acc
+
+    def at_power_of_two(self, k: int) -> int:
+        """The value at 2^k, by Horner's rule with shifts for products."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc << k) + c
         return acc
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":

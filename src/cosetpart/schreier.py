@@ -51,18 +51,19 @@ class SchreierGraph(namedtuple("SchreierGraph", "action basepoint")):
                 raise ValueError(f"letter {a}: action is not a permutation of 1..{d}")
         if not 1 <= basepoint <= d:
             raise ValueError(f"basepoint {basepoint} not in 1..{d}")
-        seen = {basepoint}
-        queue = deque([basepoint])
-        while queue:
-            v = queue.popleft()
+        # 0-based breadth-first walk: order grows behind the cursor
+        reached = [False] * d
+        reached[basepoint - 1] = True
+        order = [basepoint - 1]
+        for v in order:
             for perm in action:
-                w = perm[v - 1]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != d:
+                w = perm[v] - 1
+                if not reached[w]:
+                    reached[w] = True
+                    order.append(w)
+        if len(order) != d:
             raise NotTransitive(
-                f"only {len(seen)} of {d} vertices reachable from the basepoint"
+                f"only {len(order)} of {d} vertices reachable from the basepoint"
             )
         return _tuple_new(cls, (action, basepoint))
 
@@ -238,15 +239,16 @@ def fold(rank: int, generators) -> SchreierGraph:
 
 
 def resolve(graph: SchreierGraph, word: Word) -> int:
-    """Vertex of the coset H*word; inverse letters walk permutations backwards."""
+    """Vertex of the coset H*word; inverse letters walk permutations
+    backwards.  The inverse permutations are read only at an inverse
+    letter, so a positive word never builds them."""
     v = graph.basepoint
     act = graph.action
-    inv = graph.inverse_action
     rank = graph.rank
     for x in word:
         if not 1 <= abs(x) <= rank:
             raise InvalidLetter(f"letter {x} not in range 1..{rank} (signed)")
-        v = act[x - 1][v - 1] if x > 0 else inv[-x - 1][v - 1]
+        v = act[x - 1][v - 1] if x > 0 else graph.inverse_action[-x - 1][v - 1]
     return v
 
 

@@ -75,14 +75,23 @@ def graph_family(fig1_graph, mod2_graph, s3_kernel_graph):
 
 def _random_graph(d: int, seed: int, want_period: int = 1):
     """The first transitive pair of permutations of 1..d drawn from the seed
-    whose transition matrix has the wanted period (1 or 2).  For period 2
-    every letter swaps the halves 1..d/2 and d/2+1..d."""
+    whose transition matrix has the wanted period p, which divides d.  For
+    p > 1 the vertices fall into p blocks of d/p consecutive vertices, and
+    every letter maps block j onto block j + 1 mod p (for p = 2 it swaps
+    the halves 1..d/2 and d/2+1..d)."""
     rng = random.Random(seed)
-    half = d // 2
+    size = d // want_period
+    blocks = [list(range(j * size + 1, (j + 1) * size + 1)) for j in range(want_period)]
     while True:
-        if want_period == 2:
-            low, high = list(range(1, half + 1)), list(range(half + 1, d + 1))
-            perms = [rng.sample(high, half) + rng.sample(low, half) for _ in range(2)]
+        if want_period > 1:
+            perms = [
+                [
+                    v
+                    for j in range(want_period)
+                    for v in rng.sample(blocks[(j + 1) % want_period], size)
+                ]
+                for _ in range(2)
+            ]
         else:
             perms = [rng.sample(range(1, d + 1), d) for _ in range(2)]
         try:
@@ -102,7 +111,8 @@ def z_coverings():
 @pytest.fixture(scope="session")
 def random_graph():
     """random_graph(d, seed, want_period=1): a fixed-seed index-d subgroup
-    of F_2 (see _random_graph)."""
+    of F_2 whose transition matrix has the wanted period (see
+    _random_graph)."""
     return _random_graph
 
 

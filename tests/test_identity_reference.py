@@ -3,8 +3,9 @@ per-member references.
 
 `check_sum_identity` and `check_coefficient_identity` decide both
 identities by one cross-multiplication over the distinct denominators,
-and read the coefficient identity off the residual's series when the sum
-fails; the residues and lemma 8 are read from each member's index,
+evaluated at one power-of-two point beyond the residual's coefficient
+bound, and read the coefficient identity off the residual's series when
+the sum fails; the residues and lemma 8 are read from each member's index,
 period and cyclic class.  The references below do the same work one
 member at a time: dense matrix powers per member, one rational addition
 per member, and residues of the members' generating functions
@@ -12,6 +13,7 @@ per member, and residues of the members' generating functions
 on partitions and on defective families alike.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from cosetpart.oracle import (
     series_from_matrix,
 )
 from cosetpart.partition import (
+    _identities,
     _lemma8_clauses,
     _member_reports,
     _residue_sum,
@@ -35,7 +38,7 @@ from cosetpart.partition import (
     member_genfunc,
     member_periods,
 )
-from cosetpart.ratfunc import ZERO, geometric
+from cosetpart.ratfunc import ZERO, geometric, rational
 from cosetpart.schreier import coset, from_permutations, transversal
 
 DEPTHS = (0, 1, 7, 20)
@@ -105,6 +108,54 @@ def test_sum_identity_matches_per_member_sum(family_specs):
         ok, residual = check_sum_identity(spec)
         assert (ok, residual) == sum_identity_by_members(spec), key
         outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_identity_at_one_point_is_not_fooled_by_a_root_of_the_residual():
+    """[1/(1-2z), 2^j - z] at n = 2 leaves the residual 2^j - z, which
+    vanishes at the power of two z = 2^j (8 - z at z = 8 for j = 3); the
+    identity fails for every j."""
+    for j in range(1, 70):
+        residual = rational([2**j, -1], [1])
+        assert _identities(2, [geometric(2), residual], 0) == (False, residual, False), j
+
+
+def random_families(mutants, random_graph):
+    """Families whose sum identity may hold or fail in many ways: random
+    subsets of transversals of random subgroups of periods 1-3, with
+    members duplicated at random, and the drop-one and duplicate-one
+    mutants of partitions from a wider corpus grid (depths 4-5, seeds
+    3-4)."""
+    rng = random.Random(7)
+    out = {}
+    for d, seed, p in [(12, 5, 1), (16, 6, 1), (12, 5, 2), (16, 7, 2), (9, 2, 3), (12, 3, 3)]:
+        graph = random_graph(d, seed, p)
+        members = [coset(graph, t) for t in transversal(graph)]
+        for trial in range(12):
+            subset = rng.sample(members, rng.randint(1, d))
+            subset += rng.choices(members, k=rng.randint(0, 2))
+            if trial == 0:
+                subset = members
+            out[("transversal", d, seed, p, trial)] = PartitionSpec(2, tuple(subset))
+    for rank in (1, 2, 3):
+        for depth in (4, 5):
+            for seed in (3, 4):
+                spec = generate_partition(rank, depth, seed)
+                out[(rank, depth, seed)] = spec
+                for i, members in enumerate(mutants(spec.members)):
+                    out[(rank, depth, seed, "mutant", i)] = PartitionSpec(rank, members)
+    return out
+
+
+def test_sum_identity_at_one_point_matches_normal_form_sums(mutants, random_graph):
+    outcomes = set()
+    for key, spec in random_families(mutants, random_graph).items():
+        genfuncs = [member_genfunc(m) for m in spec.members]
+        total = sum(genfuncs, ZERO)
+        sum_ok = _identities(spec.rank, genfuncs, 0)[0]
+        assert sum_ok == (total == geometric(spec.rank)), key
+        assert check_sum_identity(spec)[0] == sum_ok, key
+        outcomes.add(sum_ok)
     assert outcomes == {True, False}
 
 

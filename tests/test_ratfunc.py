@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cosetpart.cyclo import cyclotomic
@@ -12,6 +14,8 @@ from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
     RationalFunction,
+    _certified_coprime,
+    _den_at_power_of_two,
     _numerators,
     genfunc,
     geometric,
@@ -29,6 +33,9 @@ def test_intpoly_basics():
     assert (-q).coeffs == (0, -2)
     assert IntPolynomial([0, 0]).is_zero()
     assert p(2) == 1 - 16
+    for k in (0, 1, 5, 64):
+        assert p.at_power_of_two(k) == p(2**k) and q.at_power_of_two(k) == q(2**k)
+    assert IntPolynomial().at_power_of_two(3) == 0
     assert derivative(p) == IntPolynomial([0, -8])
     assert str(IntPolynomial([1, 0, 0, 0, -16])) == "1 - 16*z^4"
 
@@ -201,7 +208,14 @@ def test_genfunc_walks_once_per_start(random_graph):
 
 
 def test_caches_are_bounded():
-    for cached in (genfunc, _numerators, char_data, cyclic_structure, cyclotomic):
+    for cached in (
+        genfunc,
+        _numerators,
+        _den_at_power_of_two,
+        char_data,
+        cyclic_structure,
+        cyclotomic,
+    ):
         assert cached.cache_info().maxsize is not None
 
 
@@ -210,3 +224,60 @@ def test_genfunc_rejects_bad_vertices(fig1_graph):
         genfunc(fig1_graph, 0, 1)
     with pytest.raises(ValueError):
         genfunc(fig1_graph, 1, 5)
+
+
+def test_certified_genfunc_equals_the_gcd_normal_form(graph_family, random_graph):
+    """Every genfunc is RationalFunction(N, q) for its column N of the walk
+    table, whichever branch built it; where the certificate accepts, N and
+    q really are coprime.  Both branches occur."""
+    drawn = [(12, 1, 1), (16, 2, 1), (24, 3, 1), (12, 1, 2), (16, 4, 2), (9, 1, 3), (18, 2, 3)]
+    graphs = list(graph_family.values()) + [random_graph(*key) for key in drawn]
+    outcomes = set()
+    for graph in graphs:
+        for start in range(1, graph.d + 1):
+            q, table = _numerators(graph, start)
+            for end in range(1, graph.d + 1):
+                num = IntPolynomial(table[end - 1])
+                f = genfunc(graph, start, end)
+                assert type(f) is RationalFunction
+                assert f == RationalFunction(num, q), (graph, start, end)
+                certified = bool(num) and _certified_coprime(num, q)
+                if certified:
+                    assert poly_gcd(num, q) == IntPolynomial([1]), (graph, start, end)
+                outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+def _random_poly(rng, degree, bound, constant=None):
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    if degree and not coeffs[-1]:
+        coeffs[-1] = bound
+    return IntPolynomial(coeffs)
+
+
+def test_certificate_rejects_every_common_factor():
+    """N = f g and q = f h with f(0) = h(0) = 1 and deg f >= 1 share f, so
+    the certificate must never accept them, whichever of the two norms is
+    the smaller and however large the coefficients."""
+    rng = random.Random(20)
+    bounds = (1, 2, 5, 100, 2**40)
+    pairs = [
+        (IntPolynomial([1, 1]), IntPolynomial([1, -1, -2])),  # f = 1 + z
+        (IntPolynomial([1, -2]), IntPolynomial([1, -4, 4])),  # f = 1 - 2z
+    ]
+    # f = 1 - a z + z^2 has a root near a: its value at a point below the
+    # bound on the roots can be tiny (f(4) = 1 for a = 4)
+    for a in range(2, 70):
+        f = IntPolynomial([1, -a, 1])
+        pairs += [(f, f * IntPolynomial([1, 2])), (f * IntPolynomial([3, 1]), f)]
+    for _ in range(400):
+        f = _random_poly(rng, rng.randint(1, 4), rng.choice(bounds), constant=1)
+        g = _random_poly(rng, rng.randint(0, 5), rng.choice(bounds))
+        h = _random_poly(rng, rng.randint(0, 5), rng.choice(bounds), constant=1)
+        if g:
+            pairs.append((f * g, f * h))
+    for num, q in pairs:
+        assert poly_gcd(num, q).degree >= 1
+        assert not _certified_coprime(num, q), (num, q)
