@@ -10,11 +10,10 @@ entries at f of u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i,
 so one walk of d - 1 sparse vector steps along the generator
 permutations gives the numerators for every end vertex at once; genfunc
 reads its end's column from that walk, cached per (graph, start).
-The normal form is decided first at one point: when the values of the
-column N and of q at a power of two X have a gcd of at most X/2, N and q
-are coprime and N/q is already in normal form (_certified_coprime).  Only
-a pair that fails the certificate goes through RationalFunction, whose
-poly_gcd (GCDHEU, PRS fallback) divides out gcd(N, q).  The
+Normal forms come from poly_gcd (GCDHEU, PRS fallback), whose first
+evaluation point is a power of two X: when the values of the column N
+and of q there have a gcd of at most X/2, N and q are coprime and N/q is
+already the normal form, with no digits read and no trial division.  The
 independent routes are in oracle: exact matrix powers
 (series_from_matrix), and walk_counts, one walk per end, from which the
 tests rebuild each numerator.  A normal form N'/D with deg N' < d,
@@ -25,7 +24,6 @@ mod z^(2d), so it is 0.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -158,56 +156,18 @@ def _numerators(
     return q, tuple(zip(*rows))
 
 
-# All ends of a graph share q, and each end's k comes from the smaller of
-# two norms, so a graph's ends need few (q, k) values; a few dozen entries
-# cover the graphs whose generating functions are being built.
-DEN_VALUE_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=DEN_VALUE_CACHE_SIZE)
-def _den_at_power_of_two(q: IntPolynomial, k: int) -> int:
-    return q.at_power_of_two(k)
-
-
-def _certified_coprime(num: IntPolynomial, q: IntPolynomial) -> bool:
-    """For nonzero num and q with q(0) = 1: True only if num and q have
-    no common factor of degree >= 1, i.e. gcd(num, q) = 1 in Z[z] (q is
-    primitive).  False decides nothing.
-
-    Let m = min(|num|, |q|) (max-norms), k = bitlen(m) + 2 and X = 2^k, so
-    X >= 4 (m + 1) > 2 m + 2.  The certificate is gcd(num(X), q(X)) <= X/2.
-
-    Proof.  Suppose G of degree >= 1 divides num and q in Z[z].  Each root
-    a of G is a root of both, so by Cauchy's bound |a| < 1 + m.  Hence
-    |X - a| > X - 1 - m > X/2 >= 1 for every root, and
-    |G(X)| = |lc(G)| prod |X - a| > X/2.  X is not a root of q, so
-    q(X) != 0, and G(X) divides both values, hence their positive gcd,
-    which is then > X/2.  Taking m from q alone would give one X per
-    graph but a far larger one where the numerators are smaller than q.
-    """
-    m = min(max(map(abs, num.coeffs)), max(map(abs, q.coeffs)))
-    k = m.bit_length() + 2
-    return math.gcd(num.at_power_of_two(k), _den_at_power_of_two(q, k)) <= 1 << (k - 1)
-
-
 @lru_cache(maxsize=GENFUNC_CACHE_SIZE)
 def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
     """Generating function of the automaton with the given start and end
     vertices, in normal form.  Coefficient k counts the positive words of
     length k leading from start to end.
 
-    It is N/q, N the end's column of the walk table.  The coprimality
-    certificate (_certified_coprime) comes first; poly_gcd, through
-    RationalFunction, is the fallback for a zero N and for every pair the
-    certificate does not accept."""
+    It is N/q, N the end's column of the walk table, put in normal form
+    by RationalFunction.  poly_gcd decides most of these pairs coprime at
+    one power-of-two point, before any digit or trial division (see
+    poly._gcdheu)."""
     d = graph.d
     if not (1 <= start <= d and 1 <= end <= d):
         raise ValueError(f"start/end must lie in 1..{d}")
     q, table = _numerators(graph, start)
-    num = IntPolynomial(table[end - 1])
-    if num and _certified_coprime(num, q):
-        # gcd(N, q) = 1, so there is nothing to divide out; and q(0) = 1
-        # meets RationalFunction's other conditions on the denominator
-        # (nonzero at 0, constant term +1), so (N, q) is the normal form
-        return _tuple_new(RationalFunction, (num, q))
-    return RationalFunction(num, q)
+    return RationalFunction(IntPolynomial(table[end - 1]), q)

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from cosetpart import poly
 from cosetpart.cyclo import cyclotomic
 from cosetpart.oracle import (
     _matrix_power_rows,
     derivative,
     divides,
+    poly_gcd_by_prs,
     series_from_matrix,
     walk_counts,
 )
@@ -14,8 +16,6 @@ from cosetpart.poly import IntPolynomial, poly_gcd
 from cosetpart.ratfunc import (
     ZERO,
     RationalFunction,
-    _certified_coprime,
-    _den_at_power_of_two,
     _numerators,
     genfunc,
     geometric,
@@ -211,7 +211,6 @@ def test_caches_are_bounded():
     for cached in (
         genfunc,
         _numerators,
-        _den_at_power_of_two,
         char_data,
         cyclic_structure,
         cyclotomic,
@@ -226,10 +225,34 @@ def test_genfunc_rejects_bad_vertices(fig1_graph):
         genfunc(fig1_graph, 1, 5)
 
 
-def test_certified_genfunc_equals_the_gcd_normal_form(graph_family, random_graph):
+def _count_gcdheu_paths(monkeypatch):
+    """Counters of GCDHEU runs and of the balanced-digit readings they
+    make: a run that reads no digits settled coprimality at its first
+    point."""
+    counts = {"gcdheu": 0, "digits": 0}
+    gcdheu, balanced_digits = poly._gcdheu, poly._balanced_digits
+
+    def counted_gcdheu(a, b):
+        counts["gcdheu"] += 1
+        return gcdheu(a, b)
+
+    def counted_digits(gamma, xi):
+        counts["digits"] += 1
+        return balanced_digits(gamma, xi)
+
+    monkeypatch.setattr(poly, "_gcdheu", counted_gcdheu)
+    monkeypatch.setattr(poly, "_balanced_digits", counted_digits)
+    return counts
+
+
+def test_genfunc_normal_forms_and_the_one_point_certificate(
+    graph_family, random_graph, monkeypatch
+):
     """Every genfunc is RationalFunction(N, q) for its column N of the walk
-    table, whichever branch built it; where the certificate accepts, N and
-    q really are coprime.  Both branches occur."""
+    table.  Where poly_gcd(N, q) settles coprimality at GCDHEU's first
+    point, with no digits read, N and q really are coprime (PRS
+    reference); both that branch and the digit-reading one occur."""
+    counts = _count_gcdheu_paths(monkeypatch)
     drawn = [(12, 1, 1), (16, 2, 1), (24, 3, 1), (12, 1, 2), (16, 4, 2), (9, 1, 3), (18, 2, 3)]
     graphs = list(graph_family.values()) + [random_graph(*key) for key in drawn]
     outcomes = set()
@@ -241,10 +264,14 @@ def test_certified_genfunc_equals_the_gcd_normal_form(graph_family, random_graph
                 f = genfunc(graph, start, end)
                 assert type(f) is RationalFunction
                 assert f == RationalFunction(num, q), (graph, start, end)
-                certified = bool(num) and _certified_coprime(num, q)
-                if certified:
-                    assert poly_gcd(num, q) == IntPolynomial([1]), (graph, start, end)
-                outcomes.add(certified)
+                counts["gcdheu"] = counts["digits"] = 0
+                g = poly_gcd(num, q)
+                assert g == poly_gcd_by_prs(num, q), (graph, start, end)
+                if counts["gcdheu"]:
+                    certified = counts["digits"] == 0
+                    if certified:
+                        assert g == IntPolynomial([1]), (graph, start, end)
+                    outcomes.add(certified)
     assert outcomes == {True, False}
 
 
@@ -257,10 +284,11 @@ def _random_poly(rng, degree, bound, constant=None):
     return IntPolynomial(coeffs)
 
 
-def test_certificate_rejects_every_common_factor():
+def test_certificate_rejects_every_common_factor(monkeypatch):
     """N = f g and q = f h with f(0) = h(0) = 1 and deg f >= 1 share f, so
-    the certificate must never accept them, whichever of the two norms is
-    the smaller and however large the coefficients."""
+    GCDHEU's one-point certificate must never accept them, whichever of
+    the two norms is the smaller and however large the coefficients: the
+    first point reads digits, and the gcd found has positive degree."""
     rng = random.Random(20)
     bounds = (1, 2, 5, 100, 2**40)
     pairs = [
@@ -278,6 +306,9 @@ def test_certificate_rejects_every_common_factor():
         h = _random_poly(rng, rng.randint(0, 5), rng.choice(bounds), constant=1)
         if g:
             pairs.append((f * g, f * h))
+    counts = _count_gcdheu_paths(monkeypatch)
     for num, q in pairs:
-        assert poly_gcd(num, q).degree >= 1
-        assert not _certified_coprime(num, q), (num, q)
+        counts["digits"] = 0
+        g = poly_gcd(num, q)
+        assert g.degree >= 1 and g == poly_gcd_by_prs(num, q), (num, q)
+        assert counts["digits"] >= 1, (num, q)
