@@ -102,7 +102,7 @@ def cmd_subgroup(args) -> int:
     if args.oracle:
         from . import oracle  # local: only --oracle needs the brute-force routes
 
-        depth = min(8, args.series_depth)
+        depth = min(oracle.count_depth(rank), args.series_depth)
         counts_ok = all(
             oracle.count_by_enumeration(coset(graph, reps[f - 1]), depth)
             == gfs[f - 1].series(depth)

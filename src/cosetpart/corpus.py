@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 
 from .covering import PartitionSpec
 from .schreier import (
     Coset,
     SchreierGraph,
+    _orbit_graph,
     coset,
     resolve,
     subgroup_coset,
@@ -61,21 +61,7 @@ def _kernel_graph(rank: int, images) -> SchreierGraph:
     generator to images[i]: vertices are the elements of the image
     subgroup, letters act by right multiplication."""
     ident = tuple(range(len(images[0])))
-    number = {ident: 1}
-    order = [ident]
-    queue = deque([ident])
-    while queue:
-        g = queue.popleft()
-        for img in images:
-            nxt = _perm_mul(g, img)
-            if nxt not in number:
-                number[nxt] = len(number) + 1
-                order.append(nxt)
-                queue.append(nxt)
-    action = tuple(
-        tuple(number[_perm_mul(g, img)] for g in order) for img in images
-    )
-    return SchreierGraph(action)
+    return _orbit_graph(rank, ident, lambda g, a: _perm_mul(g, images[a]))
 
 
 def _meet(g1: SchreierGraph, g2: SchreierGraph) -> SchreierGraph:
@@ -84,23 +70,12 @@ def _meet(g1: SchreierGraph, g2: SchreierGraph) -> SchreierGraph:
     Internal plumbing for corpus refinement only."""
     if g1.rank != g2.rank:
         raise ValueError("rank mismatch")
-    start = (g1.basepoint, g2.basepoint)
-    number = {start: 1}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        for a in range(g1.rank):
-            nxt = (g1.action[a][u - 1], g2.action[a][v - 1])
-            if nxt not in number:
-                number[nxt] = len(number) + 1
-                order.append(nxt)
-                queue.append(nxt)
-    action = tuple(
-        tuple(number[(g1.action[a][u - 1], g2.action[a][v - 1])] for (u, v) in order)
-        for a in range(g1.rank)
+    act1, act2 = g1.action, g2.action
+    return _orbit_graph(
+        g1.rank,
+        (g1.basepoint, g2.basepoint),
+        lambda s, a: (act1[a][s[0] - 1], act2[a][s[1] - 1]),
     )
-    return SchreierGraph(action)
 
 
 def refine_member(member: Coset, subgroup: SchreierGraph) -> list[Coset]:

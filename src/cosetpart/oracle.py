@@ -67,6 +67,9 @@ from .spectral import transition_matrix
 from .words import Word, check_rank
 
 COUNT_MAX_DEPTH = 14
+# positive words of lengths 0..k that count_depth lets one coset's counts
+# classify: 1 + n + ... + n^k, which keeps depth 8 up to rank 4
+COUNT_WORDS_BUDGET = 100_000
 CYCLES_MAX_VERTICES = 8
 WORDS_MAX_LEN = 7
 
@@ -117,16 +120,23 @@ def enumerate_reduced(rank: int, max_len: int) -> list[Word]:
 
 def count_by_enumeration(cst: Coset, depth: int) -> list[int]:
     """Counts of positive words of each length 0..depth lying in the coset,
-    by classifying every word individually."""
+    by classifying every word individually, one at a time."""
     if depth > COUNT_MAX_DEPTH:
         raise BudgetExceeded(f"depth {depth} exceeds cap {COUNT_MAX_DEPTH}")
-    rank = cst.graph.rank
-    counts = []
-    for k in range(depth + 1):
-        counts.append(
-            sum(1 for w in enumerate_positive(rank, k) if membership(cst, w))
-        )
-    return counts
+    letters = range(1, cst.graph.rank + 1)
+    return [
+        sum(1 for w in itertools.product(letters, repeat=k) if membership(cst, w))
+        for k in range(depth + 1)
+    ]
+
+
+def count_depth(rank: int) -> int:
+    """The largest depth k <= 8 whose 1 + n + ... + n^k positive words fit
+    COUNT_WORDS_BUDGET: the depth --oracle counts each coset to."""
+    check_rank(rank)
+    return max(
+        k for k in range(9) if sum(rank**j for j in range(k + 1)) <= COUNT_WORDS_BUDGET
+    )
 
 
 def period_by_cycles(graph: SchreierGraph) -> int:

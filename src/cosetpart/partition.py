@@ -477,7 +477,7 @@ def _member_reports(members) -> list[MemberReport]:
 
 
 def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
-    from . import oracle as _oracle  # local: oracle imports this module
+    from . import oracle as _oracle  # local: only --oracle loads the references
 
     words_depth = 5
     by_words = _oracle.partition_by_words(spec, words_depth)
@@ -490,7 +490,7 @@ def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
         words_agree = not verdict.ok
 
     counts_agree = True
-    count_depth = 8
+    count_depth = _oracle.count_depth(spec.rank)
     for member in spec.members:
         counts = _oracle.count_by_enumeration(member, count_depth)
         if counts != member_genfunc(member).series(count_depth):

@@ -5,8 +5,13 @@ on the d right cosets of a subgroup H: one permutation of {1..d} per
 generator, with a basepoint representing H itself.  Construction is
 either by folding a wedge of generator loops (fold) or from explicit
 permutations (from_permutations).  Vertices are numbered 1..d with the
-basepoint equal to 1; fold numbers the remaining vertices by BFS
-discovery order over positive letters so that outputs are stable.
+basepoint equal to 1.
+
+Every graph read off an action (fold's folded core, the corpus's kernels
+and meets) is built by one orbit walk, _orbit_graph, which numbers the
+states by BFS discovery order over positive letters so that outputs are
+stable.  fold identifies vertices through a worklist and union-find, at
+a cost near-linear in the total length of the generators.
 """
 
 from __future__ import annotations
@@ -129,15 +134,40 @@ def trivial_graph(rank: int) -> SchreierGraph:
     return SchreierGraph(((1,),) * rank)
 
 
+def _orbit_graph(rank: int, start, step) -> SchreierGraph:
+    """Schreier graph of the orbit of start under step(state, a), the
+    action of the (0-based) a-th letter.  States are numbered 1, 2, ... in
+    breadth-first discovery order over the letters in index order, and each
+    edge's target number is recorded during the walk; start is vertex 1."""
+    number = {start: 1}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in range(rank)]
+    # order grows behind the cursor
+    for state in order:
+        for a, row in enumerate(rows):
+            nxt = step(state, a)
+            n = number.get(nxt)
+            if n is None:
+                n = number[nxt] = len(order) + 1
+                order.append(nxt)
+            row.append(n)
+    return SchreierGraph(tuple(map(tuple, rows)))
+
+
 def fold(rank: int, generators) -> SchreierGraph:
     """Fold the wedge of generator loops into the Schreier graph of
     H = <generators>.
 
-    Standard Stallings folding: start from one loop per generator at the
-    basepoint, merge vertices while some vertex carries two equal-label
-    edges in the same direction, then test completeness.  The folded core
-    recognises exactly H; it is the Schreier graph iff every vertex has an
-    outgoing edge for every letter.  Raises InfiniteIndex otherwise.
+    Stallings folding by a worklist: each generator is laid out as a loop
+    at the basepoint, each vertex keeps one edge per signed letter, and
+    adding an edge whose label is already taken there queues its two ends
+    for identification.  Identifying keeps the smaller id (so the basepoint
+    survives) and moves the absorbed vertex's edges over, where a clash
+    queues another pair.  The folded core recognises exactly H; it is the
+    Schreier graph iff every vertex has an outgoing edge for every letter.
+    Raises InfiniteIndex otherwise.  Each identification moves at most 2n
+    edges, so the cost is near-linear in the total length of the
+    generators.  Vertices are numbered by BFS from the basepoint.
     """
     check_rank(rank)
     gens = [reduce_word(g, rank) for g in generators]
@@ -145,14 +175,8 @@ def fold(rank: int, generators) -> SchreierGraph:
         raise ValueError("generators must be nonempty")
 
     parent = [0]
-    out: list[list[list[int]]] = [[[] for _ in range(rank)]]
-    inc: list[list[list[int]]] = [[[] for _ in range(rank)]]
-
-    def new_vertex() -> int:
-        parent.append(len(parent))
-        out.append([[] for _ in range(rank)])
-        inc.append([[] for _ in range(rank)])
-        return len(parent) - 1
+    edges: list[dict[int, int]] = [{}]  # signed letter -> end of that edge
+    pending: list[tuple[int, int]] = []  # pairs of vertices to identify
 
     def find(x: int) -> int:
         root = x
@@ -162,80 +186,44 @@ def fold(rank: int, generators) -> SchreierGraph:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x: int, y: int) -> int:
-        # keep the smaller id so the basepoint 0 always survives
-        x, y = find(x), find(y)
-        if x == y:
-            return x
-        if x > y:
-            x, y = y, x
-        parent[y] = x
-        for a in range(rank):
-            out[x][a].extend(out[y][a])
-            inc[x][a].extend(inc[y][a])
-            out[y][a] = inc[y][a] = []
-        return x
+    def attach(v: int, x: int, w: int) -> None:
+        # the edge v -x-> w, at a live vertex v
+        out = edges[v]
+        if x in out:
+            pending.append((out[x], w))
+        else:
+            out[x] = w
 
-    base = 0
     for g in gens:
-        prev = base
-        for i, x in enumerate(g):
-            tgt = base if i == len(g) - 1 else new_vertex()
-            if x > 0:
-                out[prev][x - 1].append(tgt)
-                inc[tgt][x - 1].append(prev)
-            else:
-                out[tgt][-x - 1].append(prev)
-                inc[prev][-x - 1].append(tgt)
-            prev = tgt
+        # the loop spelling g: from 0 through len(g) - 1 new vertices to 0
+        path = [0, *range(len(parent), len(parent) + len(g) - 1), 0]
+        parent.extend(path[1:-1])
+        edges.extend({} for _ in path[1:-1])
+        for x, v, w in zip(g, path, path[1:]):
+            attach(v, x, w)
+            attach(w, -x, v)
 
-    # fold to a fixpoint; each merge strictly decreases the class count
-    while True:
-        merged = False
-        for v in range(len(parent)):
-            if find(v) != v:
-                continue
-            for table in (out, inc):
-                for a in range(rank):
-                    ids = sorted({find(t) for t in table[v][a]})
-                    if len(ids) > 1:
-                        keep = ids[0]
-                        for other in ids[1:]:
-                            keep = union(keep, other)
-                        merged = True
-        if not merged:
-            break
+    while pending:
+        u, v = pending.pop()
+        u, v = find(u), find(v)
+        if u == v:
+            continue
+        if u > v:
+            u, v = v, u
+        parent[v] = u
+        for x, w in edges[v].items():
+            attach(u, x, w)
+        edges[v] = {}
 
-    live = [v for v in range(len(parent)) if find(v) == v]
-    step: dict[tuple[int, int], int] = {}
-    for v in live:
-        for a in range(rank):
-            targets = {find(t) for t in out[v][a]}
-            if not targets:
-                raise InfiniteIndex(
-                    f"folded core is incomplete (no letter-{a + 1} edge at some "
-                    f"vertex): the subgroup has infinite index"
-                )
-            assert len(targets) == 1
-            step[v, a] = targets.pop()
-
-    # renumber: basepoint first, then BFS discovery order over positive letters
-    order = [find(base)]
-    number = {find(base): 1}
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        for a in range(rank):
-            w = step[v, a]
-            if w not in number:
-                number[w] = len(number) + 1
-                order.append(w)
-                queue.append(w)
-    assert len(number) == len(live), "folded core must be connected"
-    action = tuple(
-        tuple(number[step[v, a]] for v in order) for a in range(rank)
-    )
-    return SchreierGraph(action)
+    for v, out in enumerate(edges):
+        if parent[v] == v:
+            for x in range(1, rank + 1):
+                if x not in out:
+                    raise InfiniteIndex(
+                        f"folded core is incomplete (no letter-{x} edge at some "
+                        f"vertex): the subgroup has infinite index"
+                    )
+    return _orbit_graph(rank, 0, lambda v, a: find(edges[v][a + 1]))
 
 
 def resolve(graph: SchreierGraph, word: Word) -> int:

@@ -12,7 +12,13 @@ import pytest
 
 from cosetpart.corpus import _kernel_graph, generate_partition
 from cosetpart.covering import PartitionSpec, generate_z_covering
-from cosetpart.schreier import NotTransitive, coset, from_permutations, subgroup_coset
+from cosetpart.schreier import (
+    NotTransitive,
+    _orbit_graph,
+    coset,
+    from_permutations,
+    subgroup_coset,
+)
 from cosetpart.spectral import period
 
 CORPUS_KEYS = [
@@ -21,6 +27,12 @@ CORPUS_KEYS = [
     for depth in (0, 1, 2, 3)
     for seed in (1, 2)
 ]
+
+
+def bfs_relabelled(graph):
+    """The graph renumbered by the orbit walk: vertex numbers in BFS
+    discovery order from the basepoint, which becomes 1."""
+    return _orbit_graph(graph.rank, graph.basepoint, lambda v, a: graph.action[a][v - 1])
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import os
 import site
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,18 @@ def test_malformed_word_is_exit_1(tmp_path, capsys):
 def test_subgroup_oracle_flag(tmp_path):
     rc = main(["subgroup", write(tmp_path, "ex1.json", EX1), "--oracle"])
     assert rc == 0
+
+
+def test_oracle_counts_fit_their_budget_at_rank_7(tmp_path, capsys):
+    # the counts classify 1 + n + ... + n^k words per member: depth 8 at
+    # rank 7 took seconds and hundreds of MB on this one-member family
+    path = write(tmp_path, "r7.json", formats.partition_spec_to_json(generate_partition(7, 0, 1)))
+    start = time.perf_counter()
+    rc = main(["analyze", path, "--oracle"])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert "oracle agreement: True" in capsys.readouterr().out
+    assert elapsed < 2.0
 
 
 def test_analyze_partition(tmp_path):

@@ -4,10 +4,12 @@ import pytest
 
 from cosetpart.covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec
 from cosetpart.oracle import (
+    COUNT_WORDS_BUDGET,
     BudgetExceeded,
     NotAPole,
     NotSimple,
     count_by_enumeration,
+    count_depth,
     enumerate_positive,
     enumerate_reduced,
     partition_by_words,
@@ -69,6 +71,15 @@ def test_count_budget():
     g = from_permutations(2, [(1,), (1,)])
     with pytest.raises(BudgetExceeded):
         count_by_enumeration(subgroup_coset(g), 15)
+
+
+def test_count_depth_fits_the_word_budget():
+    # ranks up to 4 keep depth 8, so every rank-<=4 report is unchanged
+    assert [count_depth(n) for n in range(1, 9)] == [8, 8, 8, 8, 7, 6, 5, 5]
+    for n in range(1, 9):
+        k = count_depth(n)
+        assert sum(n**j for j in range(k + 1)) <= COUNT_WORDS_BUDGET
+        assert k == 8 or sum(n**j for j in range(k + 2)) > COUNT_WORDS_BUDGET
 
 
 def test_period_by_cycles_examples(fig1_graph, mod2_graph):

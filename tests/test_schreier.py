@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from conftest import bfs_relabelled
 
 from cosetpart.oracle import enumerate_reduced
 from cosetpart.schreier import (
@@ -13,7 +16,7 @@ from cosetpart.schreier import (
     subgroup_coset,
     transversal,
 )
-from cosetpart.words import parse_word
+from cosetpart.words import inverse, parse_word, reduce_word
 
 FIG1_GENERATORS = ["aaaa", "bbbb", "aB", "aaBB", "aaaBBB"]
 
@@ -183,3 +186,60 @@ def test_fold_recovers_known_kernels():
     assert fold(2, words(["bA", "aaaa", "aaBB", "bbbb", "aaaBBB", "aB"])) == fold(
         2, words(FIG1_GENERATORS)
     )
+
+
+def _random_transitive(rng, rank, d):
+    while True:
+        perms = [rng.sample(range(1, d + 1), d) for _ in range(rank)]
+        try:
+            return from_permutations(rank, perms)
+        except NotTransitive:
+            continue
+
+
+def _schreier_generators(graph):
+    """t_v a t_(va)^-1 for every vertex v and letter a, with t the BFS
+    transversal: they generate H, and the nontrivial ones are a free basis."""
+    reps = transversal(graph)
+    return [
+        reps[v - 1] + (a,) + inverse(reps[perm[v - 1] - 1])
+        for v in range(1, graph.d + 1)
+        for a, perm in enumerate(graph.action, start=1)
+    ]
+
+
+def _closed_walk(rng, graph, length):
+    """A random signed walk from the basepoint, closed back to it by the
+    inverse transversal word of its end: a word of H."""
+    walk = tuple(rng.choice((1, -1)) * rng.randint(1, graph.rank) for _ in range(length))
+    return walk + inverse(transversal(graph)[resolve(graph, walk) - 1])
+
+
+@pytest.mark.parametrize("d", [5, 12, 40, 160])
+def test_fold_round_trips_schreier_generators(d):
+    rng = random.Random(d)
+    for rank in (2, 3):
+        graph = _random_transitive(rng, rank, d)
+        gens = _schreier_generators(graph)
+        padded = gens + [_closed_walk(rng, graph, 4 * d) for _ in range(d)]
+        rng.shuffle(padded)
+        assert fold(rank, padded) == bfs_relabelled(graph)
+        # dropping a basis element leaves a free factor of H: infinite index
+        basis = [g for g in gens if reduce_word(g, rank)]
+        assert len(basis) == (rank - 1) * d + 1
+        drop = rng.randrange(len(basis))
+        with pytest.raises(InfiniteIndex):
+            fold(rank, basis[:drop] + basis[drop + 1 :])
+
+
+def test_orbit_graph_numbers_by_bfs(fig1_graph):
+    # a graph already numbered by BFS is its own relabelling
+    assert bfs_relabelled(fig1_graph) == fig1_graph
+    # 3 -> 1 -> 2 under the 3-cycle: discovery order renumbers 3, 1, 2 as 1, 2, 3
+    assert bfs_relabelled(from_permutations(1, [(2, 3, 1)], basepoint=3)) == (
+        ((2, 3, 1),),
+        1,
+    )
+    # b reaches 3 before a reaches 2, so vertices 2 and 3 trade numbers
+    swapped = from_permutations(2, [(1, 3, 2), (3, 2, 1)])
+    assert bfs_relabelled(swapped) == from_permutations(2, [(1, 3, 2), (2, 1, 3)])
