@@ -37,7 +37,6 @@ _EXPORTS = {
         "theorem2_check",
         "verify_partition",
         "z_lift",
-        "z_to_schreier",
     ),
     "poly": ("IntPolynomial",),
     "ratfunc": ("RationalFunction", "genfunc", "geometric"),

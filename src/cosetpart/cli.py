@@ -57,6 +57,18 @@ def _show_word(word, rank) -> str:
     return format_word(word, rank) or "ε"
 
 
+def _print_verdict(label: str, verdict, show_witness) -> None:
+    """"label: yes", or "label: NO (status, witness W, members (i, j))"
+    with W = show_witness(verdict.witness) and the members only on an
+    overlap."""
+    if verdict.ok:
+        print(f"{label}: yes")
+        return
+    members = f", members {verdict.overlap_indices}" if verdict.overlap_indices else ""
+    witness = show_witness(verdict.witness)
+    print(f"{label}: NO ({verdict.status}, witness {witness}{members})")
+
+
 def cmd_subgroup(args) -> int:
     from .ratfunc import genfunc
     from .schreier import coset, transversal
@@ -132,19 +144,7 @@ def cmd_analyze(args) -> int:
     print(f"indices: {[m.index for m in report.members]}")
     print(f"periods: {[m.period for m in report.members]}")
     verdict = report.verdict
-    if verdict.ok:
-        print("partition: yes")
-    else:
-        print(
-            f"partition: NO ({verdict.status}, witness "
-            f"{_show_word(verdict.witness, rank)!s}"
-            + (
-                f", members {verdict.overlap_indices}"
-                if verdict.overlap_indices
-                else ""
-            )
-            + ")"
-        )
+    _print_verdict("partition", verdict, lambda w: _show_word(w, rank))
     print(f"sum identity sum p_i = 1/(1-{rank}z): {report.sum_identity_holds}")
     print(
         f"coefficient identity sum a_ik = {rank}^k up to k={report.series_depth}: "
@@ -183,19 +183,7 @@ def cmd_zanalyze(args) -> int:
     classes = formats.parse_z_file(_load_json(args.input))
     verdict = z_verify(classes)
     print(f"classes: {formats.z_classes_to_json(classes)}")
-    if verdict.ok:
-        print("covering system partitions Z: yes")
-    else:
-        print(
-            f"covering system partitions Z: NO ({verdict.status}, witness "
-            f"{verdict.witness}"
-            + (
-                f", members {verdict.overlap_indices}"
-                if verdict.overlap_indices
-                else ""
-            )
-            + ")"
-        )
+    _print_verdict("covering system partitions Z", verdict, str)
 
     report = {
         "kind": "z_analysis",

@@ -81,7 +81,11 @@ def _meet(g1: SchreierGraph, g2: SchreierGraph) -> SchreierGraph:
 def refine_member(member: Coset, subgroup: SchreierGraph) -> list[Coset]:
     """Replace the coset H*rep by the cosets of K = H meet subgroup inside
     it: one member K*t*rep per transversal word t of K lying in H."""
-    refined = _meet(member.graph, subgroup)
+    return _split(member, _meet(member.graph, subgroup))
+
+
+def _split(member: Coset, refined: SchreierGraph) -> list[Coset]:
+    """refine_member with the meet K = H meet subgroup already built."""
     reps = transversal(refined)
     inside = [
         v
@@ -105,7 +109,6 @@ def generate_partition(rank: int, depth: int, seed: int) -> PartitionSpec:
     for _ in range(depth):
         idx = rng.randrange(len(members))
         member = members[idx]
-        kernel = None
         for _ in range(_MAX_TRIES):
             group = CATALOG[rng.randrange(len(CATALOG))]
             images = tuple(group[rng.randrange(len(group))] for _ in range(rank))
@@ -115,9 +118,7 @@ def generate_partition(rank: int, depth: int, seed: int) -> PartitionSpec:
             refined = _meet(member.graph, candidate)
             if refined.d == member.graph.d or refined.d > MAX_REFINED_INDEX:
                 continue
-            kernel = candidate
+            # split by the meet already built: refine_member would build it again
+            members[idx : idx + 1] = _split(member, refined)
             break
-        if kernel is None:
-            continue
-        members[idx : idx + 1] = refine_member(member, kernel)
     return PartitionSpec(rank, tuple(members))

@@ -67,8 +67,9 @@ from .spectral import transition_matrix
 from .words import Word, check_rank
 
 COUNT_MAX_DEPTH = 14
-# positive words of lengths 0..k that count_depth lets one coset's counts
-# classify: 1 + n + ... + n^k, which keeps depth 8 up to rank 4
+# words --oracle classifies: count_depth's positive words of lengths 0..k
+# per coset (depth 8 up to rank 4), words_depth's reduced words of lengths
+# 0..L (length 5 up to rank 5)
 COUNT_WORDS_BUDGET = 100_000
 CYCLES_MAX_VERTICES = 8
 WORDS_MAX_LEN = 7
@@ -137,6 +138,15 @@ def count_depth(rank: int) -> int:
     return max(
         k for k in range(9) if sum(rank**j for j in range(k + 1)) <= COUNT_WORDS_BUDGET
     )
+
+
+def words_depth(rank: int) -> int:
+    """The largest length L <= 5 whose 1 + sum_{k=1..L} 2n(2n-1)^(k-1)
+    reduced words fit COUNT_WORDS_BUDGET: the length --oracle classifies
+    every reduced word of a partition to."""
+    check_rank(rank)
+    sizes = [1] + [2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, 6)]
+    return max(L for L in range(6) if sum(sizes[: L + 1]) <= COUNT_WORDS_BUDGET)
 
 
 def period_by_cycles(graph: SchreierGraph) -> int:

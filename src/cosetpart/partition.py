@@ -28,8 +28,9 @@ reach, so one big-integer comparison decides the identity in Z[z].  The
 residual is put in normal form only when it is nonzero, and the
 coefficient identity is then read off its series (see _identities).
 Residues and lemma 8 come in closed form from each member's index d_i,
-period h_i and cyclic class l_i (see _residue_sum): at zeta_h / n the
-check reads
+period h_i and cyclic class l_i, the exponent sum of its representative
+mod h_i (see _residue_sum and _cyclic_class): at zeta_h / n the check
+reads
 sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
 literal.  z_lift (one shared d-cycle per modulus d) gives a covering
 system of Z to the general machinery, with the certificate's verdict and
@@ -65,7 +66,7 @@ from .cyclo import CycloNumber
 from .poly import IntPolynomial
 from .ratfunc import ZERO, RationalFunction, genfunc
 from .schreier import Coset, SchreierGraph
-from .spectral import SpectralSummary, char_data, cyclic_structure, period
+from .spectral import SpectralSummary, char_data, period
 from .words import Word
 
 
@@ -84,22 +85,18 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     parent pointers only when a defect is found.  Witness words are
     shortest, ties broken shortlex.
 
-    Rank 1 skips the walk.  Each graph is one d-cycle, and after k steps
-    the single letter has moved the basepoint onto member i's vertex iff
-    k = r_i (mod d_i), r_i being the member's cyclic class: the number of
-    steps from the basepoint to its vertex, read from the memoised
-    cyclic_structure of its graph.  The walk would scan k = 0, 1, 2, ...
-    for the first tuple not on exactly one member, which is z_verify's
-    scan of the classes d_i Z + r_i; so the certificate decides, and a
-    defect x becomes the witness a^x, the same verdict the walk returns.
+    Rank 1 skips the walk.  Each graph is one d-cycle, of period d, and
+    after k steps the single letter has moved the basepoint onto member
+    i's vertex iff k = r_i (mod d_i), r_i being the member's cyclic class:
+    the exponent sum of its representative mod d_i (see _cyclic_class).
+    The walk would scan k = 0, 1, 2, ... for the first tuple not on
+    exactly one member, which is z_verify's scan of the classes
+    d_i Z + r_i; so the certificate decides, and a defect x becomes the
+    witness a^x, the same verdict the walk returns.
     """
     members = spec.members
     if spec.rank == 1:
-        classes = []
-        for m in members:
-            d, levels = cyclic_structure(m.graph)
-            classes.append((d, _cyclic_class(m, d, levels)))
-        verdict = _z_verdict(classes)
+        verdict = _z_verdict([(m.graph.d, _cyclic_class(m, m.graph.d)) for m in members])
         if verdict.ok:
             return verdict
         return PartitionVerdict(
@@ -271,23 +268,35 @@ def theorem2_check(spec: PartitionSpec) -> dict:
 class CyclicRecord(namedtuple("CyclicRecord", "index period cyclic_class")):
     """What the closed-form residues and lemma 8 read of a member: its
     index, its period and its cyclic class (the level of its vertex from
-    the basepoint, mod the period).  A MemberReport carries the same three
-    fields.  A named tuple, equal to the plain tuple of its fields."""
+    the basepoint, mod the period; see _cyclic_class).  A MemberReport
+    carries the same three fields.  A named tuple, equal to the plain
+    tuple of its fields."""
 
     __slots__ = ()
 
 
-def _cyclic_class(member: Coset, h: int, classes: tuple[int, ...]) -> int:
-    return (classes[member.vertex - 1] - classes[member.graph.basepoint - 1]) % h
+def _cyclic_class(member: Coset, h: int) -> int:
+    """The member's cyclic class for its graph's period h: l(rep) mod h,
+    the exponent sum l counting each letter +1 and each inverse -1.
+
+    Proof.  h is the gcd of level(u) + 1 - level(w) over all letter edges
+    u -> w (spectral.period), so every letter raises a vertex's class by
+    1 mod h, and an inverse letter lowers it by 1.  Coset guarantees that
+    rep resolves to the member's vertex, so the class relative to the
+    basepoint is l(rep) mod h.  Free reduction does not change l."""
+    if h == 1:
+        return 0
+    rep = member.rep
+    return (len(rep) - 2 * len([x for x in rep if x < 0])) % h
 
 
 def _cyclic_records(members) -> list[CyclicRecord]:
-    """Index, period and cyclic class of every member, from the memoised
-    BFS of its graph: no characteristic polynomial, no generating function."""
+    """Index, period and cyclic class of every member: no characteristic
+    polynomial, no generating function."""
     records = []
     for member in members:
-        h, classes = cyclic_structure(member.graph)
-        records.append(CyclicRecord(member.graph.d, h, _cyclic_class(member, h, classes)))
+        h = period(member.graph)
+        records.append(CyclicRecord(member.graph.d, h, _cyclic_class(member, h)))
     return records
 
 
@@ -298,7 +307,7 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     Zero on genuine partitions whenever h > 1; for h = 1 the point 1/n is
     a pole of 1/(1-nz) itself and the sum is its residue -1/n.  Each
     residue comes in closed form from the member's index, period and
-    cyclic class (see _residue_sum), read from one memoised BFS per graph.
+    cyclic class (see _residue_sum), with one memoised BFS per graph.
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
@@ -386,15 +395,6 @@ def _z_cycle(d: int) -> SchreierGraph:
     return SchreierGraph((tuple(v % d + 1 for v in range(1, d + 1)),))
 
 
-def z_to_schreier(d: int, r: int) -> tuple[SchreierGraph, Coset]:
-    """Lift the residue class dZ + r to the rank-1 machinery: the Schreier
-    graph of dZ is the directed d-cycle and the coset vertex sits r steps
-    past the basepoint.  The transition matrix has period exactly d."""
-    ((d, r),) = normalize_z_classes([(d, r)])
-    graph = _z_cycle(d)
-    return graph, Coset(graph, r + 1, (1,) * r)
-
-
 def z_lift(classes) -> PartitionSpec:
     """The general-machinery view of an integer covering system.  Each
     modulus's cycle is built once and shared by all its classes."""
@@ -460,7 +460,7 @@ def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
     return MemberReport(
         index=member.graph.d,
         period=summary.period,
-        cyclic_class=_cyclic_class(member, summary.period, summary.cyclic_classes),
+        cyclic_class=_cyclic_class(member, summary.period),
         zero_multiplicity=summary.zero_multiplicity,
         reciprocal_charpoly=summary.reciprocal_charpoly,
         genfunc=member_genfunc(member),
@@ -479,7 +479,7 @@ def _member_reports(members) -> list[MemberReport]:
 def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
     from . import oracle as _oracle  # local: only --oracle loads the references
 
-    words_depth = 5
+    words_depth = _oracle.words_depth(spec.rank)
     by_words = _oracle.partition_by_words(spec, words_depth)
     if by_words.ok:
         # the word oracle can only refute up to its length bound

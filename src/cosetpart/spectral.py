@@ -8,22 +8,24 @@ permutations transitive from the basepoint, so every vertex is reached
 from it; and an edge v -> pi(v) closes into a cycle through the powers
 of the letter's permutation pi (pi^k(v) = v for some k >= 1), so every
 edge can be walked back and the basepoint is reached from every vertex.
-The period, the cyclic classes and q(z) = det(I - zA) are therefore
-properties of the graph, and each is computed from the graph itself: no
-matrix is built, hashed or checked for them.
+The period and q(z) = det(I - zA) are therefore properties of the
+graph, and each is computed from the graph itself: no matrix is built,
+hashed or checked for them.
 
-One BFS over the letter permutations gives the period h and each
-vertex's cyclic class, its BFS level mod h; it is memoised per graph, so
-each distinct graph runs it once.  The eigenvalues of modulus n are
-n * omega for the h-th roots of unity omega, each simple, with
-eigenvectors omega^class (Perron-Frobenius).  q(z) is kept exact, as an
-integer polynomial, from the power sums p_k = tr(A^k), k = 1..d, and
-Newton's identities (all divisions are exact over the integers).  Each
-row of A^k is packed into one Python integer, a fixed-width bit field per
-entry, starting from the rows of A read off the letter permutations; a
-row of A^k is the sum of at most n scaled packed rows of A^(k-1), so
-every step is O(n d) big-integer additions, done in C, instead of
-O(n d^2) interpreted additions of single entries.  The dense matrix
+One BFS over the letter permutations gives the period h; it is memoised
+per graph, so each distinct graph runs it once.  A vertex's cyclic class
+is its BFS level mod h; a coset's is read off its representative
+(partition._cyclic_class), so no per-vertex table is kept.  The
+eigenvalues of modulus n are n * omega for the h-th roots of unity
+omega, each simple, with eigenvectors omega^class (Perron-Frobenius).
+q(z) is kept exact, as an integer polynomial, from the power sums
+p_k = tr(A^k), k = 1..d, and Newton's identities (all divisions are
+exact over the integers).  Each row of A^k is packed into one Python
+integer, a fixed-width bit field per entry, starting from the rows of A
+read off the letter permutations; a row of A^k is the sum of at most n
+scaled packed rows of A^(k-1), so every step is O(n d) big-integer
+additions, done in C, instead of O(n d^2) interpreted additions of
+single entries.  The dense matrix
 (transition_matrix) is built only for the subgroup report and the
 references in oracle.
 """
@@ -58,14 +60,12 @@ SPECTRAL_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
-def cyclic_structure(graph: SchreierGraph) -> tuple[int, tuple[int, ...]]:
-    """Period of the transition matrix and the cyclic class of every vertex
-    (0-based tuple): its BFS level from vertex 1 over the letter edges,
-    mod the period.  The period h is the gcd over all edges u->v of
-    level(u) + 1 - level(v), which equals the gcd of all closed-walk
-    lengths as the digraph is strongly connected (module docstring); then
-    every walk from u to v has length class(v) - class(u) mod h.  Memoised
-    per graph, so members sharing a graph run one BFS."""
+def period(graph: SchreierGraph) -> int:
+    """Period of the transition matrix: the gcd over all edges u->v of
+    level(u) + 1 - level(v), level being the BFS level from vertex 1 over
+    the letter edges.  This equals the gcd of all closed-walk lengths as
+    the digraph is strongly connected (module docstring).  Memoised per
+    graph, so members sharing a graph run one BFS."""
     action = graph.action
     level = [-1] * graph.d
     level[0] = 0
@@ -80,25 +80,16 @@ def cyclic_structure(graph: SchreierGraph) -> tuple[int, tuple[int, ...]]:
     for perm in action:
         for u, w in enumerate(perm):
             g = math.gcd(g, level[u] + 1 - level[w - 1])
-    return g, tuple(x % g for x in level)
-
-
-def period(graph: SchreierGraph) -> int:
-    """Period of the transition matrix: gcd of all closed-walk lengths."""
-    return cyclic_structure(graph)[0]
+    return g
 
 
 class SpectralSummary(
-    namedtuple(
-        "SpectralSummary",
-        "period reciprocal_charpoly zero_multiplicity cyclic_classes",
-    )
+    namedtuple("SpectralSummary", "period reciprocal_charpoly zero_multiplicity")
 ):
     """Exact characteristic data of a Schreier graph's transition matrix:
     the period, the reciprocal characteristic polynomial q(z) = det(I - zA)
-    with q(0) = 1, the algebraic multiplicity of eigenvalue 0, and per
-    vertex its BFS level from vertex 1 mod the period.  An immutable named
-    tuple, equal to the plain tuple of its fields."""
+    with q(0) = 1, and the algebraic multiplicity of eigenvalue 0.  An
+    immutable named tuple, equal to the plain tuple of its fields."""
 
     __slots__ = ()
 
@@ -149,16 +140,13 @@ def _reciprocal_charpoly(graph: SchreierGraph) -> IntPolynomial:
 
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
 def char_data(graph: SchreierGraph) -> SpectralSummary:
-    """Period, q(z) = det(I - zA), the multiplicity of eigenvalue 0, and
-    the cyclic classes of the vertices of a Schreier graph: the period and
-    classes from cyclic_structure's one BFS, q from the packed powers
-    A, A^2, ..., A^d.  Memoised per graph.  A is irreducible by the lemma
-    of the module docstring, so there is nothing to check."""
-    h, classes = cyclic_structure(graph)
+    """Period, q(z) = det(I - zA) and the multiplicity of eigenvalue 0 of
+    a Schreier graph: the period from its memoised BFS, q from the packed
+    powers A, A^2, ..., A^d.  Memoised per graph.  A is irreducible by the
+    lemma of the module docstring, so there is nothing to check."""
     q = _reciprocal_charpoly(graph)
     return SpectralSummary(
-        period=h,
+        period=period(graph),
         reciprocal_charpoly=q,
         zero_multiplicity=graph.d - q.degree,
-        cyclic_classes=classes,
     )

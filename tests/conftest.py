@@ -72,15 +72,15 @@ def fig1_transversal_partition(fig1_graph):
 @pytest.fixture(scope="session")
 def graph_family(fig1_graph, mod2_graph, s3_kernel_graph):
     """Small zoo of structurally different graphs for invariant sweeps."""
-    from cosetpart.partition import z_to_schreier
+    from cosetpart.partition import z_lift
 
     return {
         "trivial_f2": from_permutations(2, [(1,), (1,)]),
         "fig1": fig1_graph,
         "mod2": mod2_graph,
         "s3_kernel": s3_kernel_graph,
-        "cycle3_z": z_to_schreier(3, 0)[0],
-        "cycle5_z": z_to_schreier(5, 0)[0],
+        "cycle3_z": z_lift([(3, 0)]).members[0].graph,
+        "cycle5_z": z_lift([(5, 0)]).members[0].graph,
         "mod4_f3": from_permutations(3, [(2, 3, 4, 1), (2, 3, 4, 1), (2, 3, 4, 1)]),
     }
 

@@ -127,7 +127,12 @@ def test_analyze_overlap_is_exit_2(tmp_path, capsys):
     bad = {"rank": 2, "members": [MOD2["members"][0], MOD2["members"][0]]}
     rc = main(["analyze", write(tmp_path, "dup.json", bad)])
     assert rc == 2
-    assert "NOT A PARTITION" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "NOT A PARTITION" in captured.err
+    assert "partition: NO (Overlap, witness ε, members (1, 2))\n" in captured.out
+    lone = {"rank": 2, "members": [MOD2["members"][0]]}
+    assert main(["analyze", write(tmp_path, "lone.json", lone)]) == 2
+    assert "partition: NO (Gap, witness a)\n" in capsys.readouterr().out
 
 
 def test_theorem_failure_is_exit_3(tmp_path, monkeypatch):
@@ -233,9 +238,14 @@ def test_zanalyze_builds_no_cycle(tmp_path, monkeypatch, capsys):
     assert all(lifted["agreement"].values())
 
 
-def test_zanalyze_gap_is_exit_2(tmp_path):
+def test_zanalyze_gap_is_exit_2(tmp_path, capsys):
     rc = main(["zanalyze", write(tmp_path, "zgap.json", {"moduli": [[2, 0], [4, 1]]})])
     assert rc == 2
+    assert "covering system partitions Z: NO (Gap, witness 3)\n" in capsys.readouterr().out
+    rc = main(["zanalyze", write(tmp_path, "zdup.json", {"moduli": [[2, 0], [2, 0]]})])
+    assert rc == 2
+    expected = "covering system partitions Z: NO (Overlap, witness 0, members (1, 2))\n"
+    assert expected in capsys.readouterr().out
 
 
 def test_zanalyze_late_overlap_is_exit_2(tmp_path):

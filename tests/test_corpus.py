@@ -7,6 +7,7 @@ import json
 import pytest
 from conftest import CORPUS_KEYS, bfs_relabelled
 
+from cosetpart import corpus
 from cosetpart.corpus import _kernel_graph, _meet, generate_partition
 from cosetpart.formats import partition_spec_to_json
 from cosetpart.schreier import from_permutations, trivial_graph
@@ -18,6 +19,26 @@ def test_corpus_is_byte_identical():
         hashlib.sha256(text.encode()).hexdigest()
         == "311affb5da274d86f8c4567290169c903a6a95f680f840ea4c8bd351b5e13385"
     )
+
+
+def test_each_nontrivial_kernel_is_met_once(monkeypatch):
+    # the accepted meet is split as built, not rebuilt by refine_member
+    counts = {"kernels": 0, "meets": 0}
+
+    def counted_kernel(rank, images):
+        graph = _kernel_graph(rank, images)
+        counts["kernels"] += graph.d > 1
+        return graph
+
+    def counted_meet(g1, g2):
+        counts["meets"] += 1
+        return _meet(g1, g2)
+
+    monkeypatch.setattr(corpus, "_kernel_graph", counted_kernel)
+    monkeypatch.setattr(corpus, "_meet", counted_meet)
+    for key in CORPUS_KEYS:
+        generate_partition(*key)
+    assert counts["meets"] == counts["kernels"] > 0
 
 
 def test_meet_with_itself_or_the_whole_group_relabels(graph_family):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -18,14 +19,17 @@ from cosetpart.oracle import (
     residue_at,
     residue_simple,
     series_from_matrix,
+    words_depth,
 )
+from cosetpart.corpus import generate_partition
 from cosetpart.partition import (
     _cyclic_records,
     _residue_sum,
+    analyze,
     member_genfunc,
     member_periods,
     residue_sum_check,
-    z_to_schreier,
+    z_lift,
 )
 from cosetpart.ratfunc import genfunc, rational
 from cosetpart.schreier import coset, from_permutations, subgroup_coset, transversal
@@ -80,6 +84,31 @@ def test_count_depth_fits_the_word_budget():
         k = count_depth(n)
         assert sum(n**j for j in range(k + 1)) <= COUNT_WORDS_BUDGET
         assert k == 8 or sum(n**j for j in range(k + 2)) > COUNT_WORDS_BUDGET
+
+
+def reduced_count(n, length):
+    return 1 + sum(2 * n * (2 * n - 1) ** (k - 1) for k in range(1, length + 1))
+
+
+def test_words_depth_fits_the_word_budget():
+    for n in (1, 2, 3):
+        for length in range(5):
+            assert reduced_count(n, length) == len(enumerate_reduced(n, length))
+    # ranks up to 5 keep length 5, so every rank-<=5 report is unchanged
+    assert [words_depth(n) for n in range(1, 11)] == [5, 5, 5, 5, 5, 4, 4, 4, 4, 3]
+    for n in range(1, 11):
+        length = words_depth(n)
+        assert reduced_count(n, length) <= COUNT_WORDS_BUDGET
+        assert length == 5 or reduced_count(n, length + 1) > COUNT_WORDS_BUDGET
+
+
+def test_oracle_at_rank_9_is_bounded():
+    # length 5 would classify 1 + 18 (1 + 17 + ... + 17^4) = 1 597 321 words
+    spec = generate_partition(9, 1, 1)
+    start = time.perf_counter()
+    report = analyze(spec, with_oracle=True)
+    assert time.perf_counter() - start < 2.5
+    assert report.oracle["words_depth"] == 4 and report.all_checks_pass
 
 
 def test_period_by_cycles_examples(fig1_graph, mod2_graph):
@@ -175,7 +204,7 @@ def test_nonzero_residue_sums_match_reference(fig1_graph):
     # Galois conjugation acts on nonzero values
     families = [
         (PartitionSpec(2, (coset(fig1_graph, ()), coset(fig1_graph, (1,)))), 4),
-        (PartitionSpec(1, (z_to_schreier(5, 0)[1], z_to_schreier(5, 1)[1])), 5),
+        (z_lift([(5, 0), (5, 1)]), 5),
     ]
     for spec, h in families:
         assert _check_residues_against_reference(spec, h) > 0

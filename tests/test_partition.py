@@ -29,7 +29,6 @@ from cosetpart.partition import (
     theorem2_check,
     verify_partition,
     z_lift,
-    z_to_schreier,
 )
 from cosetpart.ratfunc import genfunc, geometric, rational
 from cosetpart.schreier import (
@@ -251,20 +250,20 @@ def test_z_verify_examples():
             davenport_rado_check(classes)
 
 
-def test_z_to_schreier_examples():
-    graph, cst = z_to_schreier(3, 0)
-    assert graph.d == 3 and cst.vertex == graph.basepoint
-    graph, cst = z_to_schreier(4, 1)
+def test_z_lift_examples():
+    (cst,) = z_lift([(3, 0)]).members
+    assert cst.graph.d == 3 and cst.vertex == cst.graph.basepoint
+    (cst,) = z_lift([(4, 1)]).members
     assert cst.vertex == 2
-    assert genfunc(graph, 1, cst.vertex) == rational([0, 1], [1, 0, 0, 0, -1])
-    graph, cst = z_to_schreier(1, 0)
-    assert genfunc(graph, 1, 1) == rational([1], [1, -1])
+    assert genfunc(cst.graph, 1, cst.vertex) == rational([0, 1], [1, 0, 0, 0, -1])
+    (cst,) = z_lift([(1, 0)]).members
+    assert genfunc(cst.graph, 1, 1) == rational([1], [1, -1])
 
 
-def test_z_to_schreier_period_equals_modulus():
+def test_z_lift_period_equals_modulus():
     for d in range(1, 13):
-        graph, _ = z_to_schreier(d, 0)
-        assert period(graph) == d
+        (cst,) = z_lift([(d, 0)]).members
+        assert period(cst.graph) == d
 
 
 def lift_per_class(classes):
@@ -282,7 +281,7 @@ def test_z_lift_equals_per_class_lift(z_coverings):
             lifted = z_lift(family)
             assert lifted == lift_per_class(family)
             for (d, r), member in zip(family, lifted.members):
-                assert z_to_schreier(d, r) == (member.graph, member)
+                assert z_lift([(d, r)]).members == (member,)
 
 
 def test_z_lift_shares_one_graph_per_modulus(z_coverings):
@@ -294,16 +293,18 @@ def test_z_lift_shares_one_graph_per_modulus(z_coverings):
 
 
 def test_member_periods_run_once_per_modulus(z_coverings):
-    # verify_partition (rank 1), member_periods and analyze (whose char_data
-    # reads the same memoised BFS) share one period BFS per modulus
+    # member_periods and analyze (whose char_data reads the same memoised
+    # BFS) share one period BFS per modulus; rank-1 verify_partition reads
+    # each class off its representative and runs none
     for classes in z_coverings[-6:]:
-        spectral.cyclic_structure.cache_clear()
+        spectral.period.cache_clear()
         lifted = z_lift(classes)
         assert verify_partition(lifted).ok
+        assert spectral.period.cache_info().misses == 0
         assert member_periods(lifted) == [d for d, _ in classes]
         assert member_periods(lifted) == [d for d, _ in classes]
         assert analyze(lifted).all_checks_pass
-        misses = spectral.cyclic_structure.cache_info().misses
+        misses = spectral.period.cache_info().misses
         assert len(classes) > misses == len({d for d, _ in classes})
 
 
@@ -318,12 +319,31 @@ def test_analyze_looks_up_spectra_once_per_graph(monkeypatch, random_graph):
     monkeypatch.setattr(partition, "char_data", counted)
     graph = random_graph(12, 3)
     spec = transversal_partition(graph)
-    spectral.cyclic_structure.cache_clear()
+    spectral.period.cache_clear()
     report = analyze(spec)
     assert report.all_checks_pass
     lemma8_diagnostic(spec)  # reads the period BFS, not char_data
     assert len(looked_up) == 1 and len(spec.members) == 12
-    assert spectral.cyclic_structure.cache_info().misses == 1
+    assert spectral.period.cache_info().misses == 1
+
+
+def test_cyclic_class_is_the_exponent_sum_of_the_rep(random_graph):
+    # the transversal word is a positive path to the member's vertex, so its
+    # length mod h is the class, independently of the signed representative
+    rng = random.Random(23)
+    signed = 0
+    for h in (1, 2, 3):
+        for d, seed in ((6, 1), (12, 2), (18, 3)):
+            graph = random_graph(d, seed, h)
+            reps = transversal(graph)
+            for _ in range(40):
+                word = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(13))]
+                member = coset(graph, word)
+                if h == 3:
+                    signed += any(x < 0 for x in member.rep)
+                expected = len(reps[member.vertex - 1]) % h
+                assert partition._cyclic_class(member, h) == expected
+    assert signed > 0
 
 
 def test_residue_and_lemma8_wrappers_skip_spectra_and_genfuncs(

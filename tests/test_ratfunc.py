@@ -21,7 +21,7 @@ from cosetpart.ratfunc import (
     geometric,
     rational,
 )
-from cosetpart.spectral import char_data, cyclic_structure, period
+from cosetpart.spectral import char_data, period
 
 
 def test_intpoly_basics():
@@ -212,7 +212,7 @@ def test_caches_are_bounded():
         genfunc,
         _numerators,
         char_data,
-        cyclic_structure,
+        period,
         cyclotomic,
     ):
         assert cached.cache_info().maxsize is not None

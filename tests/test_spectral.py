@@ -2,7 +2,8 @@ import numpy as np
 
 from cosetpart.oracle import divides, reciprocal_charpoly_by_faddeev
 from cosetpart.poly import IntPolynomial
-from cosetpart.schreier import SchreierGraph, from_permutations, trivial_graph
+from cosetpart.partition import _cyclic_class
+from cosetpart.schreier import SchreierGraph, coset, from_permutations, trivial_graph
 from cosetpart.spectral import char_data, period, transition_matrix
 
 
@@ -124,4 +125,6 @@ def test_charpoly_at_the_packing_bound():
             q = IntPolynomial([1] + [0] * (d - 1) + [-(n**d)])
             assert cd.reciprocal_charpoly == q
             assert reciprocal_charpoly_by_faddeev(transition_matrix(graph)) == q
-            assert cd.period == d and cd.cyclic_classes == tuple(range(d))
+            assert cd.period == d
+            classes = [_cyclic_class(coset(graph, (1,) * k), d) for k in range(d)]
+            assert classes == list(range(d))

@@ -190,7 +190,8 @@ def test_lifted_verdicts_match_reference_and_z_verify(mutants):
 def relabelled_cycle_family(rng):
     """A rank-1 family on randomly relabelled d-cycles with random
     basepoints: a covering of Z, each class (d, r) carried by a fresh
-    labelling of the d-cycle, its coset r steps past the basepoint."""
+    labelling of the d-cycle, its coset r steps past the basepoint, with
+    the representative a^r or the negative power a^(r - d)."""
     classes = generate_z_covering(rng.randrange(1, 6), rng.randrange(1000))
     members = []
     for d, r in classes:
@@ -199,7 +200,7 @@ def relabelled_cycle_family(rng):
         for k in range(d):
             perm[labels[k] - 1] = labels[(k + 1) % d]
         graph = SchreierGraph((tuple(perm),), labels[0])
-        members.append(coset(graph, (1,) * r))
+        members.append(coset(graph, (1,) * r if rng.randrange(2) else (-1,) * (d - r)))
     return tuple(members)
 
 
