@@ -21,11 +21,11 @@ _EXPORTS = {
         "PartitionSpec",
         "PartitionVerdict",
         "davenport_rado_check",
-        "generate_z_covering",
         "z_verify",
     ),
     "corpus": ("generate_partition",),
     "cyclo": ("CycloNumber", "cyclotomic"),
+    "folding": ("fold",),
     "partition": (
         "AnalysisReport",
         "analyze",
@@ -46,7 +46,6 @@ _EXPORTS = {
         "NotTransitive",
         "SchreierGraph",
         "coset",
-        "fold",
         "from_permutations",
         "membership",
         "resolve",
@@ -61,6 +60,7 @@ _EXPORTS = {
         "parse_word",
         "reduce_word",
     ),
+    "zcovering": ("generate_z_covering",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS)

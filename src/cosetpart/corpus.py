@@ -13,10 +13,10 @@ import itertools
 import random
 
 from .covering import PartitionSpec
+from .folding import _orbit_graph
 from .schreier import (
     Coset,
     SchreierGraph,
-    _orbit_graph,
     coset,
     resolve,
     subgroup_coset,

@@ -1,26 +1,28 @@
-"""Partition records and the integer certificate: everything a covering
-system of Z needs, on the standard library and words alone.
+"""Partition records, the theorem clauses and the integer certificate,
+on the standard library and words alone.
 
 PartitionVerdict, PartitionSpec and NotAPartition are the records every
 checker shares.  The theorem clauses here read only integers (member
-periods and indices, or the moduli of a covering system), so the
-general checkers in the partition module and `cosetpart zanalyze` build
-their reports with the same code.
+periods and indices), so the general checkers in the partition module
+and `cosetpart zanalyze` build their reports with the same code.
 
 The covering systems of the integers are the rank-1 specialization of
 coset partitions: z_verify decides whether classes {d_i Z + r_i}
-partition Z by the O(s^2) certificate of _z_verdict, davenport_rado_check
-tests the Davenport-Rado repetition on a verified system, and
-generate_z_covering builds systems by iterated refinement.  The lift of
-a system to Schreier graphs (partition.z_lift) is the tests' reference
-for `cosetpart zanalyze`.
+partition Z by the O(s^2) certificate of _z_verdict, which rank-1
+verify_partition runs too, and davenport_rado_check tests the
+Davenport-Rado repetition on a verified system.  What only covering
+systems need (the gap search behind a failed certificate, the
+Davenport-Rado clauses, generate_z_covering) is the zcovering module,
+which these functions import when they reach it, so that analysing a
+partition of rank >= 2 never loads it.  The lift of a system to Schreier
+graphs (partition.z_lift) is the tests' reference for `cosetpart
+zanalyze`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import namedtuple
 
 from .words import check_rank
@@ -206,38 +208,6 @@ def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
     }
 
 
-def _davenport_rado_clauses(moduli: list[int]) -> dict:
-    """davenport_rado_check on the moduli of a verified covering system."""
-    dmax = max(moduli)
-    if dmax == 1:
-        return {
-            "applicable": False,
-            "max_modulus": 1,
-            "max_count": moduli.count(1),
-            "largest_repeats": None,
-            "divisibility": [],
-            "all_pass": True,
-        }
-    count = moduli.count(dmax)
-    divisibility = []
-    for i, d in enumerate(moduli, start=1):
-        witness = next(
-            (j for j, e in enumerate(moduli, start=1) if j != i and e % d == 0),
-            None,
-        )
-        divisibility.append(
-            {"member": i, "modulus": d, "divides_member": witness, "ok": witness is not None}
-        )
-    return {
-        "applicable": True,
-        "max_modulus": dmax,
-        "max_count": count,
-        "largest_repeats": count >= 2,
-        "divisibility": divisibility,
-        "all_pass": count >= 2 and all(e["ok"] for e in divisibility),
-    }
-
-
 # ---------------------------------------------------------------------------
 # covering systems of the integers (the rank-1 specialization)
 
@@ -301,70 +271,26 @@ def _z_verdict(classes) -> PartitionVerdict:
         lcm = math.lcm(*(d for d, _ in classes))
         if sum(lcm // d for d, _ in classes) == lcm:
             return PartitionVerdict(IS_PARTITION)
-        # disjoint classes of density below 1: a gap lies below L
-        gap = _first_gap(classes, lcm)
-        assert gap is not None, "disjoint classes of density < 1 leave a gap"
-        return PartitionVerdict(GAP, witness=gap)
-    gap = _first_gap(classes, first_overlap)
+    from .zcovering import _first_gap  # local: only a defect searches for a gap
+
+    # disjoint classes of density below 1 leave a gap below L
+    gap = _first_gap(classes, lcm if first_overlap is None else first_overlap)
     if gap is not None:
         return PartitionVerdict(GAP, witness=gap)
+    assert first_overlap is not None, "disjoint classes of density < 1 leave a gap"
     covering = [i for i, (d, r) in enumerate(classes, start=1) if first_overlap % d == r]
     return PartitionVerdict(
         OVERLAP, witness=first_overlap, overlap_indices=(covering[0], covering[1])
     )
 
 
-def _first_gap(classes, bound: int) -> int | None:
-    """The least x in [0, bound) in none of the classes, or None.
-
-    Depth-first over progressions a + mZ (0 <= a < m, so a is the least
-    element >= 0), from Z itself: a progression that no class meets is a
-    gap from a on; one that a class contains is covered; otherwise it
-    splits into q progressions mod m q, q = d / gcd(d, m) for the meeting
-    class that needs the fewest, in increasing a.  Every split puts one
-    more class's modulus into m, so m divides L = lcm(d_i), the leaves are
-    disjoint residues mod L, and a branch whose a is not below the best
-    gap so far is pruned.
-    """
-    best = bound
-    stack = [(iter((0,)), 1)]  # per depth: the next progressions' a, and m
-    while stack:
-        starts, m = stack[-1]
-        a = next(starts, bound)
-        if a >= best:
-            # the remaining siblings start later still
-            stack.pop()
-            continue
-        meeting = [d for d, r in classes if (a - r) % math.gcd(d, m) == 0]
-        if not meeting:
-            best = a
-            stack.pop()
-        elif all(m % d for d in meeting):
-            q = min(d // math.gcd(d, m) for d in meeting)
-            stack.append((iter(range(a, a + m * q, m)), m * q))
-    return best if best < bound else None
-
-
 def davenport_rado_check(classes) -> dict:
     """On a verified covering system with maximal modulus > 1: the largest
     modulus occurs at least twice, and every modulus divides another."""
+    from .zcovering import _davenport_rado_clauses
+
     classes = normalize_z_classes(classes)
     verdict = _z_verdict(classes)
     if not verdict.ok:
         raise NotAPartition(verdict)
     return _davenport_rado_clauses([d for d, _ in classes])
-
-
-def generate_z_covering(depth: int, seed: int) -> tuple[tuple[int, int], ...]:
-    """A covering system of Z by iterated refinement: replace a class
-    (d, r) by the m classes (m*d, r + d*t).  Deterministic in the seed."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    rng = random.Random(seed)
-    classes: list[tuple[int, int]] = [(1, 0)]
-    for _ in range(depth):
-        idx = rng.randrange(len(classes))
-        d, r = classes[idx]
-        mult = rng.choice([2, 3, 4, 5, 6])
-        classes[idx : idx + 1] = [(mult * d, r + d * t) for t in range(mult)]
-    return normalize_z_classes(classes)

@@ -13,13 +13,17 @@ constructor's arbitrary rational coefficients).
 
 For m coprime to h, sigma_m: zeta_h -> zeta_h^m is an automorphism of
 Q(zeta_h) fixing Q (CycloNumber.conjugate, which returns a zero
-unchanged).  partition reads the residues of a partition's members at
-zeta_h / n in closed form from their cyclic classes, as integer buckets
-over one common denominator reduced once per period h, and conjugates the
-sum to every other m.  That needs no field operations, so this module
-holds none: the residues of the generating functions themselves, the
-reference for that closed form, live in oracle with the arithmetic they
-divide with (oracle.CycloFieldNumber).
+unchanged).  analyze decides the residue sums of a partition by the
+pushforward certificate (partition._pushforward_holds) and reports each
+as a zero built without this module; it evaluates them here only when
+that certificate fails or is over its budget.  Then partition reads the
+residues at zeta_h / n in closed form from the members' cyclic classes,
+as integer buckets over one common denominator reduced once per period
+h (partition._residue_sum, also behind residue_sum_check), and
+conjugates the sum to every other m.  That needs no field operations, so
+this module holds none: the residues of the generating functions
+themselves, the reference for that closed form, live in oracle with the
+arithmetic they divide with (oracle.CycloFieldNumber).
 """
 
 from __future__ import annotations

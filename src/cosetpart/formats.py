@@ -10,17 +10,66 @@ Words use the text syntax of the words module.  Exact numbers that can
 grow (polynomial and series coefficients, rationals) are serialized as
 decimal strings so no consumer loses precision; structural integers
 (indices, periods, vertices, matrix entries) stay plain.
+
+The commands read their input (load_json), write their --out reports
+(write_report) and show words and verdicts on the console (show_word,
+verdict_line) through this module.
 """
 
 from __future__ import annotations
 
+import json
+
 from .covering import PartitionSpec, PartitionVerdict, _is_int
-from .schreier import SchreierGraph, coset, fold, from_permutations
+from .schreier import SchreierGraph, coset, from_permutations
 from .words import check_rank, format_word, parse_word
 
 # The writers read only attributes of the exact numbers; the readers import
 # their classes when called, so parsing a subgroup, partition or Z file
-# loads no polynomial arithmetic.
+# loads no polynomial arithmetic, and only a subgroup given by generators
+# loads the folding code.
+
+
+def load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per open bracket
+            raise ValueError(f"JSON nested too deeply in {path}") from None
+
+
+class WriteFailed(Exception):
+    """An output file could not be written: (path, reason)."""
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteFailed(path, exc.strerror or str(exc)) from exc
+
+
+def write_report(obj: dict, out_path: str | None) -> None:
+    """The JSON report, indented, to out_path if one is given."""
+    if out_path:
+        write_text(out_path, json.dumps(obj, indent=2) + "\n")
+
+
+def show_word(word, rank) -> str:
+    return format_word(word, rank) or "ε"
+
+
+def verdict_line(label: str, verdict, show_witness) -> str:
+    """"label: yes", or "label: NO (status, witness W, members (i, j))"
+    with W = show_witness(verdict.witness) and the members only on an
+    overlap."""
+    if verdict.ok:
+        return f"{label}: yes"
+    members = f", members {verdict.overlap_indices}" if verdict.overlap_indices else ""
+    witness = show_witness(verdict.witness)
+    return f"{label}: NO ({verdict.status}, witness {witness}{members})"
 
 
 def poly_to_json(p) -> list[str]:
@@ -79,6 +128,8 @@ def parse_subgroup(obj) -> SchreierGraph:
         gens = obj["generators"]
         if not isinstance(gens, list) or not all(isinstance(w, str) for w in gens):
             raise ValueError("'generators' must be a list of words")
+        from .folding import fold
+
         return fold(rank, [parse_word(text, rank) for text in gens])
     if "permutations" in obj:
         perms = obj["permutations"]

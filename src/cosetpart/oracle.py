@@ -26,7 +26,9 @@ tests require the same answers:
   and pole_order, the residues of the generating functions themselves.
 
 The enumerations have hard budgets with loud errors, never silent
-truncation.
+truncation.  _oracle_section runs them for `analyze --oracle`
+(partition.analyze imports it only then), so only --oracle loads this
+module.
 
 The code that only the references run lives here too, so the production
 modules hold only what a command runs: the word enumerations
@@ -61,9 +63,9 @@ from fractions import Fraction
 from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
 from .cyclo import CycloNumber, cyclotomic
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
-from .ratfunc import RationalFunction, _step
+from .ratfunc import RationalFunction, _step, genfunc
 from .schreier import Coset, SchreierGraph, membership, resolve
-from .spectral import transition_matrix
+from .spectral import period, transition_matrix
 from .words import Word, check_rank
 
 COUNT_MAX_DEPTH = 14
@@ -197,6 +199,48 @@ def partition_by_words(spec: PartitionSpec, max_len: int) -> PartitionVerdict:
                 OVERLAP, witness=word, overlap_indices=(hits[0], hits[1])
             )
     return PartitionVerdict(IS_PARTITION)
+
+
+def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
+    """The oracle section of `analyze --oracle` (partition.analyze): the
+    word classification against the verdict, the word counts of every
+    member against its generating function's series, and the cycle gcd
+    against the period of every member graph within the cycle budget."""
+    max_len = words_depth(spec.rank)
+    if partition_by_words(spec, max_len).ok:
+        # the word oracle can only refute up to its length bound
+        words_agree = verdict.ok or len(verdict.witness) > max_len
+    else:
+        # defect kinds may differ (the oracle scans signed words, the orbit
+        # walk positive ones); agreement means both refute
+        words_agree = not verdict.ok
+
+    counts_agree = True
+    depth = count_depth(spec.rank)
+    for member in spec.members:
+        counts = count_by_enumeration(member, depth)
+        if counts != genfunc(member.graph, member.graph.basepoint, member.vertex).series(depth):
+            counts_agree = False
+            break
+
+    periods_agree = True
+    checked = 0
+    for member in spec.members:
+        if member.graph.d <= CYCLES_MAX_VERTICES:
+            checked += 1
+            if period_by_cycles(member.graph) != period(member.graph):
+                periods_agree = False
+                break
+
+    return {
+        "words_depth": max_len,
+        "words_agree": words_agree,
+        "count_depth": depth,
+        "counts_agree": counts_agree,
+        "periods_checked": checked,
+        "periods_agree": periods_agree,
+        "all_agree": words_agree and counts_agree and periods_agree,
+    }
 
 
 def poly_gcd_by_prs(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:

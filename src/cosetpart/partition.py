@@ -32,15 +32,24 @@ period h_i and cyclic class l_i, the exponent sum of its representative
 mod h_i (see _residue_sum and _cyclic_class): at zeta_h / n the check
 reads
 sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
-literal.  z_lift (one shared d-cycle per modulus d) gives a covering
-system of Z to the general machinery, with the certificate's verdict and
-the moduli as periods, and is the tests' reference for `cosetpart
-zanalyze`.
+literal.  The exponent sum pushes a coset partition forward to a
+fractional exact cover of Z, sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for
+every x, and by Fourier inversion that one integer condition holds iff
+sum_i 1/d_i = 1 and every such residue sum vanishes (see
+_pushforward_holds, with the proof).  So analyze decides all residue
+entries by stride sums over Z/lcm(h_i), and reports each as a zero of
+Q(zeta_h) built without the cyclo module; only when the cover fails, or
+the check is over its budget, does it evaluate them in Q(zeta_h).
 
-The records, the integer theorem clauses and the covering systems of Z
-themselves live in the covering module; z_verify and davenport_rado_check
-are importable from here as well.  The corpus generator is the corpus
-module.
+z_lift (one shared d-cycle per modulus d) gives a covering system of Z
+to the general machinery, with the certificate's verdict and the moduli
+as periods, and is the tests' reference for `cosetpart zanalyze`.
+
+The records, the integer theorem clauses and the rank-1 certificate
+live in the covering module; z_verify and davenport_rado_check are
+importable from here as well.  The rest of the covering systems of Z is
+the zcovering module, the corpus generator the corpus module, and the
+--oracle section oracle._oracle_section.
 """
 
 from __future__ import annotations
@@ -62,7 +71,6 @@ from .covering import (
 )
 # the rank-1 checks, also read under this module's name
 from .covering import davenport_rado_check, z_verify  # noqa: F401
-from .cyclo import CycloNumber
 from .poly import IntPolynomial
 from .ratfunc import ZERO, RationalFunction, genfunc
 from .schreier import Coset, SchreierGraph
@@ -300,7 +308,7 @@ def _cyclic_records(members) -> list[CyclicRecord]:
     return records
 
 
-def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
+def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> "CycloNumber":
     """Exact sum, over the members whose generating function has a pole at
     z0 = zeta_h^m / n, of the residues there.
 
@@ -314,13 +322,14 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> CycloNumber:
     return _residue_sum(_cyclic_records(spec.members), spec.rank, h, m)
 
 
-def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> CycloNumber:
+def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloNumber":
     """residue_sum_check on member records.  Over the members with
     h | h_i and L = lcm(n d_i) among them, the integers -L/(n d_i) are
     bucketed at the exponent m (l_i + 1) mod h, then reduced once modulo
     Phi_h and divided by L once (CycloNumber.from_integers).  analyze calls
-    this at m = 1 only, once per period h, and reads the other m coprime to
-    h as sigma_m conjugates of that sum (CycloNumber.conjugate).
+    this only off the pushforward certificate (_pushforward_holds), at
+    m = 1 once per period h, and reads the other m coprime to h as sigma_m
+    conjugates of that sum (CycloNumber.conjugate).
 
     Member i, of index d_i, period h_i and cyclic class l_i (the level of
     its vertex from the basepoint, mod h_i), has p_i = e_b (I - zA)^-1 e_v.
@@ -334,12 +343,82 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> CycloNu
     P = (w^(c(u) - c(u')))_(u, u') / d_i and w = zeta_h^-m.  The residue is
     -z0 P_(b, v) = -zeta_h^(m (l_i + 1)) / (n d_i).
     """
+    from .cyclo import CycloNumber  # local: analyze needs it only off the certificate
+
     poles = [r for r in reports if r.period % h == 0]
     den = math.lcm(*(n * r.index for r in poles))
     buckets = [0] * h
     for r in poles:
         buckets[m * (r.cyclic_class + 1) % h] -= den // (n * r.index)
     return CycloNumber.from_integers(h, buckets, den)
+
+
+# The stride additions (sum_i M/h_i) the pushforward check may take, about
+# 0.07 s and a list of M <= 2^20 ints at the bound; over it analyze
+# evaluates the residue sums in Q(zeta_h) instead.
+PUSHFORWARD_BUDGET = 1 << 20
+
+
+def _pushforward_holds(records) -> bool | None:
+    """Whether the member records (index d_i, period h_i, cyclic class l_i)
+    form a fractional exact cover of Z,
+
+        sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for every integer x,
+
+    or None when the check would take over PUSHFORWARD_BUDGET additions.
+
+    Lemma.  The records of a coset partition of F_n form such a cover.
+    Proof.  Let l: F_n -> Z be the exponent sum (letters +1, inverses -1).
+    l(H_i) = h_i Z: every letter raises the cyclic class by 1, so a closed
+    walk at the basepoint has l in h_i Z, and the lengths of the positive
+    closed walks there have gcd h_i (spectral.period).  Let N be the
+    normal core of the intersection of the H_i, so G = F_n/N is finite and
+    each coset H_i x_i is a union of cosets of N.  l(N) lies in every
+    h_i Z, so l mod M, M = lcm(h_i), factors through G, onto Z/M (a letter
+    maps to 1).  With the uniform probability on G, H_i x_i has mass
+    1/d_i, and l mod M maps H_i/N homomorphically onto h_i Z/M Z, with
+    fibres of equal size; so H_i x_i pushes forward to mass (1/d_i)(h_i/M)
+    on each of the M/h_i residues x = l_i (mod h_i), as l(x_i) = l_i
+    (mod h_i).  The cosets partition G, which pushes forward to mass 1/M
+    on every residue; multiply by M.
+
+    The residue sums.  For h > 1 dividing M and m coprime to h, weight
+    both sides by zeta_h^(-m x) and sum over x mod M.  A progression
+    x = l_i (mod h_i) sums to 0 unless h | h_i, so the left side gives
+    M sum_{i: h | h_i} zeta_h^(-m l_i) / d_i and the constant right side 0.
+    Conjugating, sum_{i: h | h_i} zeta_h^(m l_i) / d_i = 0, and that times
+    -zeta_h^m / n is the residue sum at zeta_h^m / n (_residue_sum).  So
+    where the cover holds every residue sum analyze reports is zero;
+    conversely, by Fourier inversion, the cover holds iff sum_i 1/d_i = 1
+    and every residue sum at every h | M vanishes.
+
+    The check runs over Z/M with the integer weights L h_i/d_i,
+    L = lcm(d_i): one stride sum per member, sum_i M/h_i additions, and no
+    number of Q(zeta_h).
+    """
+    M = math.lcm(*(r.period for r in records))
+    if sum(M // r.period for r in records) > PUSHFORWARD_BUDGET:
+        return None
+    L = math.lcm(*(r.index for r in records))
+    cover = [0] * M
+    for r in records:
+        stride = slice(r.cyclic_class, M, r.period)
+        cover[stride] = map((L // r.index * r.period).__add__, cover[stride])
+    return cover.count(L) == M
+
+
+class CycloZero(namedtuple("CycloZero", "h coeffs")):
+    """The zero of Q(zeta_h) as analyze reports a residue sum the
+    pushforward certificate decides: h and phi(h) int zeros, the fields a
+    zero cyclo.CycloNumber serializes with, built without that module."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return True
+
+    def __bool__(self):
+        return False
 
 
 def lemma8_diagnostic(spec: PartitionSpec) -> dict:
@@ -476,47 +555,6 @@ def _member_reports(members) -> list[MemberReport]:
     return [_member_report(m, summaries[m.graph]) for m in members]
 
 
-def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
-    from . import oracle as _oracle  # local: only --oracle loads the references
-
-    words_depth = _oracle.words_depth(spec.rank)
-    by_words = _oracle.partition_by_words(spec, words_depth)
-    if by_words.ok:
-        # the word oracle can only refute up to its length bound
-        words_agree = verdict.ok or len(verdict.witness) > words_depth
-    else:
-        # defect kinds may differ (the oracle scans signed words, the orbit
-        # walk positive ones); agreement means both refute
-        words_agree = not verdict.ok
-
-    counts_agree = True
-    count_depth = _oracle.count_depth(spec.rank)
-    for member in spec.members:
-        counts = _oracle.count_by_enumeration(member, count_depth)
-        if counts != member_genfunc(member).series(count_depth):
-            counts_agree = False
-            break
-
-    periods_agree = True
-    checked = 0
-    for member in spec.members:
-        if member.graph.d <= _oracle.CYCLES_MAX_VERTICES:
-            checked += 1
-            if _oracle.period_by_cycles(member.graph) != period(member.graph):
-                periods_agree = False
-                break
-
-    return {
-        "words_depth": words_depth,
-        "words_agree": words_agree,
-        "count_depth": count_depth,
-        "counts_agree": counts_agree,
-        "periods_checked": checked,
-        "periods_agree": periods_agree,
-        "all_agree": words_agree and counts_agree and periods_agree,
-    }
-
-
 def analyze(
     spec: PartitionSpec,
     series_depth: int = 20,
@@ -527,6 +565,14 @@ def analyze(
     The sum and coefficient identities run diagnostically even when the
     family fails to be a partition; the theorem checkers only apply to
     genuine partitions and are skipped (None) otherwise.
+
+    The residue sums at every scaled root zeta_h^m / n, h a period > 1 and
+    m coprime to h, are decided together by the pushforward certificate
+    (_pushforward_holds): where it holds each is the zero of Q(zeta_h), a
+    CycloZero.  In rank 1 every weight h_i/d_i is 1 (each graph is one
+    d_i-cycle), so the cover is the covering system the verdict already
+    certified.  Only where the cover fails, or its check is over budget,
+    are the sums evaluated (_residue_sum).
     """
     verdict = verify_partition(spec)
     members = _member_reports(spec.members)
@@ -542,15 +588,26 @@ def analyze(
         theorem1 = _theorem1_clauses(periods)
         theorem2 = _theorem2_clauses(periods, [r.index for r in members])
         lemma8 = _lemma8_clauses(members)
-        for h in sorted({p for p in periods if p > 1}):
-            # sigma_m: zeta_h -> zeta_h^m carries the sum at m = 1 to the sum at m
-            first = _residue_sum(members, spec.rank, h, 1)
-            for m in range(1, h):
-                if math.gcd(m, h) == 1:
-                    value = first.conjugate(m)
-                    residue_entries.append(
-                        {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
-                    )
+        poles = sorted({p for p in periods if p > 1})
+        certified = bool(poles) and (spec.rank == 1 or _pushforward_holds(members))
+        for h in poles:
+            ms = [m for m in range(1, h) if math.gcd(m, h) == 1]
+            if certified:
+                values = [CycloZero(h, (0,) * len(ms))] * len(ms)
+            else:
+                # sigma_m: zeta_h -> zeta_h^m carries the sum at m = 1 to the sum at m
+                first = _residue_sum(members, spec.rank, h, 1)
+                values = [first.conjugate(m) for m in ms]
+            for m, value in zip(ms, values):
+                residue_entries.append(
+                    {"period": h, "m": m, "value": value, "is_zero": value.is_zero()}
+                )
+
+    oracle = None
+    if with_oracle:
+        from .oracle import _oracle_section  # local: only --oracle loads the references
+
+        oracle = _oracle_section(spec, verdict)
 
     return AnalysisReport(
         spec=spec,
@@ -564,5 +621,5 @@ def analyze(
         theorem2=theorem2,
         residue_sums=tuple(residue_entries),
         lemma8=lemma8,
-        oracle=_oracle_section(spec, verdict) if with_oracle else None,
+        oracle=oracle,
     )

@@ -3,15 +3,14 @@
 A graph is the complete deterministic co-deterministic labelled graph
 on the d right cosets of a subgroup H: one permutation of {1..d} per
 generator, with a basepoint representing H itself.  Construction is
-either by folding a wedge of generator loops (fold) or from explicit
-permutations (from_permutations).  Vertices are numbered 1..d with the
-basepoint equal to 1.
+either from explicit permutations (from_permutations) or by folding a
+wedge of generator loops (folding.fold).  Vertices are numbered 1..d
+with the basepoint equal to 1.
 
 Every graph read off an action (fold's folded core, the corpus's kernels
-and meets) is built by one orbit walk, _orbit_graph, which numbers the
-states by BFS discovery order over positive letters so that outputs are
-stable.  fold identifies vertices through a worklist and union-find, at
-a cost near-linear in the total length of the generators.
+and meets) is built by one orbit walk, folding._orbit_graph.  Both live
+in the folding module, which a command loads only for a subgroup given
+by generators or to generate a corpus partition.
 """
 
 from __future__ import annotations
@@ -132,98 +131,6 @@ def trivial_graph(rank: int) -> SchreierGraph:
     """The one-vertex graph of the whole group (every letter a loop)."""
     check_rank(rank)
     return SchreierGraph(((1,),) * rank)
-
-
-def _orbit_graph(rank: int, start, step) -> SchreierGraph:
-    """Schreier graph of the orbit of start under step(state, a), the
-    action of the (0-based) a-th letter.  States are numbered 1, 2, ... in
-    breadth-first discovery order over the letters in index order, and each
-    edge's target number is recorded during the walk; start is vertex 1."""
-    number = {start: 1}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(rank)]
-    # order grows behind the cursor
-    for state in order:
-        for a, row in enumerate(rows):
-            nxt = step(state, a)
-            n = number.get(nxt)
-            if n is None:
-                n = number[nxt] = len(order) + 1
-                order.append(nxt)
-            row.append(n)
-    return SchreierGraph(tuple(map(tuple, rows)))
-
-
-def fold(rank: int, generators) -> SchreierGraph:
-    """Fold the wedge of generator loops into the Schreier graph of
-    H = <generators>.
-
-    Stallings folding by a worklist: each generator is laid out as a loop
-    at the basepoint, each vertex keeps one edge per signed letter, and
-    adding an edge whose label is already taken there queues its two ends
-    for identification.  Identifying keeps the smaller id (so the basepoint
-    survives) and moves the absorbed vertex's edges over, where a clash
-    queues another pair.  The folded core recognises exactly H; it is the
-    Schreier graph iff every vertex has an outgoing edge for every letter.
-    Raises InfiniteIndex otherwise.  Each identification moves at most 2n
-    edges, so the cost is near-linear in the total length of the
-    generators.  Vertices are numbered by BFS from the basepoint.
-    """
-    check_rank(rank)
-    gens = [reduce_word(g, rank) for g in generators]
-    if not gens:
-        raise ValueError("generators must be nonempty")
-
-    parent = [0]
-    edges: list[dict[int, int]] = [{}]  # signed letter -> end of that edge
-    pending: list[tuple[int, int]] = []  # pairs of vertices to identify
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def attach(v: int, x: int, w: int) -> None:
-        # the edge v -x-> w, at a live vertex v
-        out = edges[v]
-        if x in out:
-            pending.append((out[x], w))
-        else:
-            out[x] = w
-
-    for g in gens:
-        # the loop spelling g: from 0 through len(g) - 1 new vertices to 0
-        path = [0, *range(len(parent), len(parent) + len(g) - 1), 0]
-        parent.extend(path[1:-1])
-        edges.extend({} for _ in path[1:-1])
-        for x, v, w in zip(g, path, path[1:]):
-            attach(v, x, w)
-            attach(w, -x, v)
-
-    while pending:
-        u, v = pending.pop()
-        u, v = find(u), find(v)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        parent[v] = u
-        for x, w in edges[v].items():
-            attach(u, x, w)
-        edges[v] = {}
-
-    for v, out in enumerate(edges):
-        if parent[v] == v:
-            for x in range(1, rank + 1):
-                if x not in out:
-                    raise InfiniteIndex(
-                        f"folded core is incomplete (no letter-{x} edge at some "
-                        f"vertex): the subgroup has infinite index"
-                    )
-    return _orbit_graph(rank, 0, lambda v, a: find(edges[v][a + 1]))
 
 
 def resolve(graph: SchreierGraph, word: Word) -> int:

@@ -12,8 +12,9 @@ The period and q(z) = det(I - zA) are therefore properties of the
 graph, and each is computed from the graph itself: no matrix is built,
 hashed or checked for them.
 
-One BFS over the letter permutations gives the period h; it is memoised
-per graph, so each distinct graph runs it once.  A vertex's cyclic class
+One BFS over the letter permutations gives the period h (in rank 1 it
+is d, with no BFS); it is memoised per graph, so each distinct graph
+runs it once.  A vertex's cyclic class
 is its BFS level mod h; a coset's is read off its representative
 (partition._cyclic_class), so no per-vertex table is kept.  The
 eigenvalues of modulus n are n * omega for the h-th roots of unity
@@ -65,7 +66,12 @@ def period(graph: SchreierGraph) -> int:
     level(u) + 1 - level(v), level being the BFS level from vertex 1 over
     the letter edges.  This equals the gcd of all closed-walk lengths as
     the digraph is strongly connected (module docstring).  Memoised per
-    graph, so members sharing a graph run one BFS."""
+    graph, so members sharing a graph run one BFS.
+
+    Rank 1 runs none: the single letter's permutation is transitive, so it
+    is one d-cycle, whose only closed walks are the multiples of d."""
+    if graph.rank == 1:
+        return graph.d
     action = graph.action
     level = [-1] * graph.d
     level[0] = 0

@@ -11,15 +11,16 @@ import random
 import pytest
 
 from cosetpart.corpus import _kernel_graph, generate_partition
-from cosetpart.covering import PartitionSpec, generate_z_covering
+from cosetpart.covering import PartitionSpec
+from cosetpart.folding import _orbit_graph
 from cosetpart.schreier import (
     NotTransitive,
-    _orbit_graph,
     coset,
     from_permutations,
     subgroup_coset,
 )
 from cosetpart.spectral import period
+from cosetpart.zcovering import generate_z_covering
 
 CORPUS_KEYS = [
     (rank, depth, seed)

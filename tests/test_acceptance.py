@@ -15,9 +15,9 @@ from cosetpart.covering import (
     OVERLAP,
     PartitionSpec,
     davenport_rado_check,
-    generate_z_covering,
     z_verify,
 )
+from cosetpart.folding import fold
 from cosetpart.oracle import (
     count_by_enumeration,
     divides,
@@ -39,13 +39,13 @@ from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import genfunc, rational
 from cosetpart.schreier import (
     coset,
-    fold,
     from_permutations,
     membership,
     subgroup_coset,
 )
 from cosetpart.spectral import char_data, period, transition_matrix
 from cosetpart.words import parse_word
+from cosetpart.zcovering import generate_z_covering
 
 
 def _passed(n, label, elapsed=None):

@@ -320,6 +320,33 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("usage: cosetpart analyze")
 
 
+def test_series_depth_has_a_stated_bound(tmp_path, capsys):
+    from cosetpart.cli import MAX_SERIES_DEPTH
+
+    ex1 = write(tmp_path, "ex1.json", EX1)
+    dup = formats.partition_spec_to_json(generate_partition(2, 3, 7))
+    dup["members"].append(dup["members"][0])
+    dup = write(tmp_path, "dup.json", dup)
+    for argv in (["subgroup", ex1], ["analyze", dup]):
+        for depth in (MAX_SERIES_DEPTH + 1, 15000):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--series-depth", str(depth)])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"depth must be <= {MAX_SERIES_DEPTH} (MAX_SERIES_DEPTH), got {depth}" in captured.err
+    # at the bound every coefficient prints, up to the letter syntax's rank 26:
+    # p(z) = 1/(1 - 16z^4) for the golden subgroup, 1/(1 - 26z) for F_26 itself
+    whole26 = write(tmp_path, "whole26.json", {"rank": 26, "permutations": [[1]] * 26})
+    for path, last in ((ex1, 2**MAX_SERIES_DEPTH), (whole26, 26**MAX_SERIES_DEPTH)):
+        out = tmp_path / "sub.out.json"
+        assert main(["subgroup", path, "--series-depth", str(MAX_SERIES_DEPTH), "--out", str(out)]) == 0
+        series = json.loads(out.read_text())["genfuncs"][0]["series"]
+        assert len(series) == MAX_SERIES_DEPTH + 1 and series[-1] == str(last)
+    assert main(["analyze", dup, "--series-depth", str(MAX_SERIES_DEPTH)]) == 2
+    capsys.readouterr()
+
+
 def _out_commands(tmp_path):
     """Every subcommand with a valid input, awaiting its --out PATH."""
     return [
@@ -508,8 +535,12 @@ def cosetpart_modules(*names):
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    spec = write(tmp_path, "p.json", formats.partition_spec_to_json(generate_partition(2, 3, 7)))
-    # a rank-1 partition whose report has residue sums at three periods
+    # a periodic rank-2 partition, and a rank-1 partition whose report has
+    # residue sums at three periods: the pushforward certificate decides
+    # them, so analyze loads no cyclotomic arithmetic
+    periodic = generate_partition(2, 3, 7)
+    assert [e["period"] for e in partition.analyze(periodic).residue_sums] == [2]
+    spec = write(tmp_path, "p.json", formats.partition_spec_to_json(periodic))
     rank1 = generate_partition(1, 3, 2)
     assert sorted({e["period"] for e in partition.analyze(rank1).residue_sums}) == [4, 12, 20]
     assert len(partition.analyze(rank1).residue_sums) == 14
@@ -519,26 +550,43 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     # and no command needs fractions (which loads decimal and numbers)
     never = {"dataclasses", "inspect", "typing", "networkx", "cosetpart.oracle"}
     never |= {"fractions", "decimal", "numbers"}
+    handlers = cosetpart_modules("cli_subgroup", "cli_zanalyze", "cli_generate")
     runs = {
         "zanalyze": (
             ["zanalyze", write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})],
-            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition", "corpus"),
+            cosetpart_modules(
+                "poly", "cyclo", "ratfunc", "spectral", "partition", "corpus", "folding"
+            ),
         ),
         "generate": (
             ["generate", "--rank", "2", "--depth", "3", "--seed", "7"],
-            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition"),
+            cosetpart_modules("poly", "cyclo", "ratfunc", "spectral", "partition", "zcovering"),
         ),
         "subgroup": (
             ["subgroup", write(tmp_path, "fold.json", EX1)],
-            cosetpart_modules("partition", "corpus", "cyclo"),
+            cosetpart_modules("partition", "corpus", "cyclo", "zcovering"),
         ),
-        "analyze": (["analyze", spec], cosetpart_modules("corpus")),
-        "analyze rank 1": (["analyze", spec1], cosetpart_modules("corpus")),
+        # only a subgroup given by generators is folded
+        "subgroup by permutations": (
+            ["subgroup", write(tmp_path, "perms.json", MOD2["members"][0]["subgroup"])],
+            cosetpart_modules("partition", "corpus", "cyclo", "zcovering", "folding"),
+        ),
+        "analyze": (
+            ["analyze", spec],
+            cosetpart_modules("corpus", "cyclo", "folding", "zcovering"),
+        ),
+        "analyze rank 1": (
+            ["analyze", spec1],
+            cosetpart_modules("corpus", "cyclo", "folding", "zcovering"),
+        ),
     }
     for command, (argv, unwanted) in runs.items():
         loaded = modules_run_by(*argv)
         assert "cosetpart.cli" in loaded, command
-        unwanted |= never
+        # no command loads another command's handler
+        own = {f"cosetpart.cli_{argv[0]}"} & handlers
+        assert own <= loaded, command
+        unwanted |= never | (handlers - own)
         assert not unwanted & loaded, (command, sorted(unwanted & loaded))
 
 

@@ -14,7 +14,6 @@ from cosetpart.covering import (
     NotAPartition,
     PartitionSpec,
     davenport_rado_check,
-    generate_z_covering,
     z_verify,
 )
 from cosetpart.oracle import CycloFieldNumber, partition_by_words
@@ -41,6 +40,7 @@ from cosetpart.schreier import (
     trivial_graph,
 )
 from cosetpart.spectral import period
+from cosetpart.zcovering import generate_z_covering
 
 
 def transversal_partition(graph):

@@ -3,13 +3,13 @@ import random
 import pytest
 from conftest import bfs_relabelled
 
+from cosetpart.folding import fold
 from cosetpart.oracle import enumerate_reduced
 from cosetpart.schreier import (
     Coset,
     InfiniteIndex,
     NotTransitive,
     coset,
-    fold,
     from_permutations,
     membership,
     resolve,

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 
 from cosetpart.oracle import divides, reciprocal_charpoly_by_faddeev
@@ -78,6 +80,14 @@ def test_period_agrees_with_cycle_oracle(graph_family, corpus):
     graphs = [g for g in graph_family.values() if g.d <= 8]
     for spec in corpus.values():
         graphs.extend(m.graph for m in spec.members if m.graph.d <= 8)
+    # rank 1 reads the period off the index: relabelled d-cycles, moved basepoints
+    rng = random.Random(1)
+    for d in range(1, 9):
+        order = rng.sample(range(1, d + 1), d)
+        perm = [0] * d
+        for v, w in zip(order, order[1:] + order[:1]):
+            perm[v - 1] = w
+        graphs.append(from_permutations(1, [perm], basepoint=order[-1]))
     for graph in graphs:
         assert period_by_cycles(graph) == period(graph)
 

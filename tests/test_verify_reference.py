@@ -31,12 +31,12 @@ from cosetpart.covering import (
     OVERLAP,
     PartitionSpec,
     PartitionVerdict,
-    generate_z_covering,
     z_verify,
 )
 from cosetpart.oracle import enumerate_positive
 from cosetpart.partition import _orbit_word, verify_partition, z_lift
 from cosetpart.schreier import SchreierGraph, coset, from_permutations, membership
+from cosetpart.zcovering import generate_z_covering
 
 SHORT_WITNESS = 6
 
