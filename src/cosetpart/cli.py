@@ -27,22 +27,16 @@ import json
 import sys
 
 from . import formats
-from .formats import WriteFailed, show_word, verdict_line
+from .formats import WriteFailed, check_series_depth, show_word, verdict_line
 from .schreier import InfiniteIndex, NotTransitive
 from .words import InvalidLetter
-
-# The coefficient of z^K in a series counts at most n^K words.  At this
-# depth that is at most 4245 decimal digits for every rank up to 26 (the
-# letter syntax), within Python's default limit of 4300 digits on int to
-# str conversion, and the series of an analysis residual takes
-# milliseconds.
-MAX_SERIES_DEPTH = 3000
 
 
 def cmd_analyze(args) -> int:
     from .partition import analyze
 
     spec = formats.parse_partition_file(formats.load_json(args.input))
+    check_series_depth(args.series_depth, spec.rank)
     report = analyze(spec, series_depth=args.series_depth, with_oracle=args.oracle)
     rank = spec.rank
 
@@ -79,18 +73,15 @@ def cmd_analyze(args) -> int:
 
 
 def _depth(text: str) -> int:
-    """argparse type of --series-depth: an integer in 0..MAX_SERIES_DEPTH,
-    checked before any command runs."""
+    """argparse type of --series-depth: an integer >= 0, checked before any
+    command runs; the command checks the bound of its input's rank
+    (formats.check_series_depth)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"depth must be >= 0, got {value}")
-    if value > MAX_SERIES_DEPTH:
-        raise argparse.ArgumentTypeError(
-            f"depth must be <= {MAX_SERIES_DEPTH} (MAX_SERIES_DEPTH), got {value}"
-        )
     return value
 
 
@@ -141,13 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handler(command: str):
-    """The chosen command's handler: cmd_analyze, or cmd_<command> from the
-    command's own module, imported now."""
-    if command == "analyze":
-        return cmd_analyze
-    from importlib import import_module
+    """The chosen command's handler, its module imported only now."""
+    if command == "subgroup":
+        from .cli_subgroup import cmd_subgroup
 
-    return getattr(import_module(f"{__package__}.cli_{command}"), f"cmd_{command}")
+        return cmd_subgroup
+    if command == "zanalyze":
+        from .cli_zanalyze import cmd_zanalyze
+
+        return cmd_zanalyze
+    if command == "generate":
+        from .cli_generate import cmd_generate
+
+        return cmd_generate
+    return cmd_analyze
 
 
 def main(argv=None) -> int:

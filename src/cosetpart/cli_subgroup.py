@@ -16,6 +16,7 @@ from .words import format_word
 def cmd_subgroup(args) -> int:
     graph = formats.parse_subgroup(formats.load_json(args.input))
     rank = graph.rank
+    formats.check_series_depth(args.series_depth, rank)
     summary = char_data(graph)
     reps = transversal(graph)
     gfs = [genfunc(graph, graph.basepoint, f) for f in range(1, graph.d + 1)]

@@ -16,7 +16,7 @@ Q(zeta_h) fixing Q (CycloNumber.conjugate, which returns a zero
 unchanged).  analyze decides the residue sums of a partition by the
 pushforward certificate (partition._pushforward_holds) and reports each
 as a zero built without this module; it evaluates them here only when
-that certificate fails or is over its budget.  Then partition reads the
+that certificate fails or would cost more.  Then partition reads the
 residues at zeta_h / n in closed form from the members' cyclic classes,
 as integer buckets over one common denominator reduced once per period
 h (partition._residue_sum, also behind residue_sum_check), and

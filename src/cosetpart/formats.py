@@ -12,13 +12,15 @@ decimal strings so no consumer loses precision; structural integers
 (indices, periods, vertices, matrix entries) stay plain.
 
 The commands read their input (load_json), write their --out reports
-(write_report) and show words and verdicts on the console (show_word,
-verdict_line) through this module.
+(write_report), bound --series-depth by the input's rank so that every
+series coefficient prints (check_series_depth) and show words and
+verdicts on the console (show_word, verdict_line) through this module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .covering import PartitionSpec, PartitionVerdict, _is_int
 from .schreier import SchreierGraph, coset, from_permutations
@@ -106,6 +108,39 @@ def cyclo_from_json(obj):
 
 def series_to_json(counts) -> list[str]:
     return [str(c) for c in counts]
+
+
+# Python's default limit, in decimal digits, on converting an int to str.
+COEFFICIENT_DIGITS = 4300
+
+
+def max_series_depth(rank: int) -> int:
+    """The bound on --series-depth at this rank: the largest K with
+    n^K < 10^COEFFICIENT_DIGITS.  The coefficient of z^K counts at most n^K
+    words, so up to this depth every coefficient prints within Python's
+    default limit: 14284 at rank 2, 3038 at rank 26, 2149 at rank 100.  In
+    rank 1 every coefficient is 0 or 1; rank 2's bound caps the series'
+    length there, and so its time."""
+    n = max(rank, 2)
+    limit = 10**COEFFICIENT_DIGITS
+    depth = int(COEFFICIENT_DIGITS / math.log10(n))
+    # the float quotient is within one of K; settle it exactly
+    while n ** (depth + 1) < limit:
+        depth += 1
+    while n**depth >= limit:
+        depth -= 1
+    return depth
+
+
+def check_series_depth(depth: int, rank: int) -> None:
+    """A depth over max_series_depth(rank) is a usage error (exit 1), raised
+    before the command prints anything."""
+    bound = max_series_depth(rank)
+    if depth > bound:
+        raise ValueError(
+            f"--series-depth must be <= {bound} at rank {rank} "
+            f"({max(rank, 2)}^K within {COEFFICIENT_DIGITS} digits), got {depth}"
+        )
 
 
 def subgroup_to_json(graph: SchreierGraph) -> dict:

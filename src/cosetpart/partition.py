@@ -39,7 +39,8 @@ sum_i 1/d_i = 1 and every such residue sum vanishes (see
 _pushforward_holds, with the proof).  So analyze decides all residue
 entries by stride sums over Z/lcm(h_i), and reports each as a zero of
 Q(zeta_h) built without the cyclo module; only when the cover fails, or
-the check is over its budget, does it evaluate them in Q(zeta_h).
+the check would cost more than the sums (many coprime periods), does it
+evaluate them in Q(zeta_h).
 
 z_lift (one shared d-cycle per modulus d) gives a covering system of Z
 to the general machinery, with the certificate's verdict and the moduli
@@ -353,19 +354,31 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloN
     return CycloNumber.from_integers(h, buckets, den)
 
 
-# The stride additions (sum_i M/h_i) the pushforward check may take, about
-# 0.07 s and a list of M <= 2^20 ints at the bound; over it analyze
-# evaluates the residue sums in Q(zeta_h) instead.
-PUSHFORWARD_BUDGET = 1 << 20
+# analyze runs the pushforward check where it is the cheaper route.  The
+# check takes M + sum_i M/h_i list steps, about 30 ns each.  Evaluating the
+# sums takes at least sum_h phi(h)^2 zero tests (phi(h) conjugates of phi(h)
+# coefficients each), about 3.5 ns each, so CONJUGATE_TESTS_PER_STEP to a
+# step, plus loading cyclo, about 1 ms: PUSHFORWARD_BUDGET steps.
+PUSHFORWARD_BUDGET = 1 << 15
+CONJUGATE_TESTS_PER_STEP = 8
 
 
-def _pushforward_holds(records) -> bool | None:
+def _pushforward_holds(records, conjugate_tests: int = 0) -> bool | None:
     """Whether the member records (index d_i, period h_i, cyclic class l_i)
     form a fractional exact cover of Z,
 
         sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for every integer x,
 
-    or None when the check would take over PUSHFORWARD_BUDGET additions.
+    or None when the check's M + sum_i M/h_i steps would cost more than
+    evaluating the residue sums: more than PUSHFORWARD_BUDGET plus
+    conjugate_tests / CONJUGATE_TESTS_PER_STEP, conjugate_tests being
+    sum_h phi(h)^2 over the periods h > 1 (analyze passes it).  Measured on
+    rank-2 lifts of coverings of Z, one core of a 2-vCPU host: with the
+    periods coprime the sums are cheap and M is their product (periods
+    6, 10, 42, 78, 110, 170 give M = 510 510: a check of 30 ms, against
+    1.2 ms for the sums); with the periods dividing each other M is the
+    largest, and the sums cost the more (lcm 345 600: 23 ms, against 56 ms
+    with the cyclotomic polynomials cached and 2 s without).
 
     Lemma.  The records of a coset partition of F_n form such a cover.
     Proof.  Let l: F_n -> Z be the exponent sum (letters +1, inverses -1).
@@ -397,7 +410,8 @@ def _pushforward_holds(records) -> bool | None:
     number of Q(zeta_h).
     """
     M = math.lcm(*(r.period for r in records))
-    if sum(M // r.period for r in records) > PUSHFORWARD_BUDGET:
+    steps = M + sum(M // r.period for r in records)
+    if steps > PUSHFORWARD_BUDGET + conjugate_tests // CONJUGATE_TESTS_PER_STEP:
         return None
     L = math.lcm(*(r.index for r in records))
     cover = [0] * M
@@ -410,7 +424,9 @@ def _pushforward_holds(records) -> bool | None:
 class CycloZero(namedtuple("CycloZero", "h coeffs")):
     """The zero of Q(zeta_h) as analyze reports a residue sum the
     pushforward certificate decides: h and phi(h) int zeros, the fields a
-    zero cyclo.CycloNumber serializes with, built without that module."""
+    zero cyclo.CycloNumber serializes with, built without that module.  A
+    record, not a field element: it compares as the tuple (h, coeffs), so
+    never equal to a CycloNumber, and has no conjugate."""
 
     __slots__ = ()
 
@@ -571,8 +587,15 @@ def analyze(
     (_pushforward_holds): where it holds each is the zero of Q(zeta_h), a
     CycloZero.  In rank 1 every weight h_i/d_i is 1 (each graph is one
     d_i-cycle), so the cover is the covering system the verdict already
-    certified.  Only where the cover fails, or its check is over budget,
-    are the sums evaluated (_residue_sum).
+    certified.  Only where the cover fails, or its check would cost more
+    than the sums, are they evaluated (_residue_sum).
+
+    So an entry's "value" is a CycloZero where the certificate decided it
+    and a cyclo.CycloNumber where the sum was evaluated.  The two share h,
+    coeffs, is_zero() and the JSON form (formats.cyclo_to_json), but a
+    CycloZero is a named tuple: it is not equal to the zero CycloNumber
+    of its order and has no field operations (conjugate); rebuild one with
+    CycloNumber(value.h, value.coeffs) where a field element is needed.
     """
     verdict = verify_partition(spec)
     members = _member_reports(spec.members)
@@ -588,10 +611,15 @@ def analyze(
         theorem1 = _theorem1_clauses(periods)
         theorem2 = _theorem2_clauses(periods, [r.index for r in members])
         lemma8 = _lemma8_clauses(members)
-        poles = sorted({p for p in periods if p > 1})
-        certified = bool(poles) and (spec.rank == 1 or _pushforward_holds(members))
-        for h in poles:
-            ms = [m for m in range(1, h) if math.gcd(m, h) == 1]
+        units = {
+            h: [m for m in range(1, h) if math.gcd(m, h) == 1]
+            for h in sorted({p for p in periods if p > 1})
+        }
+        certified = bool(units) and (
+            spec.rank == 1
+            or _pushforward_holds(members, sum(len(ms) ** 2 for ms in units.values()))
+        )
+        for h, ms in units.items():
             if certified:
                 values = [CycloZero(h, (0,) * len(ms))] * len(ms)
             else:

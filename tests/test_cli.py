@@ -321,29 +321,48 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
 
 
 def test_series_depth_has_a_stated_bound(tmp_path, capsys):
-    from cosetpart.cli import MAX_SERIES_DEPTH
+    from cosetpart.formats import COEFFICIENT_DIGITS, max_series_depth
+
+    # the largest K with n^K < 10^4300, so n^K prints; rank 1 takes rank 2's
+    bounds = {n: max_series_depth(n) for n in (1, 2, 26, 28, 100)}
+    assert bounds == {1: 14284, 2: 14284, 26: 3038, 28: 2971, 100: 2149}
+    for n, bound in bounds.items():
+        top = max(n, 2)
+        assert top**bound < 10**COEFFICIENT_DIGITS <= top ** (bound + 1)
 
     ex1 = write(tmp_path, "ex1.json", EX1)
     dup = formats.partition_spec_to_json(generate_partition(2, 3, 7))
     dup["members"].append(dup["members"][0])
     dup = write(tmp_path, "dup.json", dup)
-    for argv in (["subgroup", ex1], ["analyze", dup]):
-        for depth in (MAX_SERIES_DEPTH + 1, 15000):
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--series-depth", str(depth)])
-            assert exc.value.code == 1
+    whole = {
+        n: write(tmp_path, f"whole{n}.json", {"rank": n, "permutations": [[1]] * n})
+        for n in (28, 100)
+    }
+    cases = [(["subgroup", ex1], 2), (["analyze", dup], 2)]
+    cases += [(["subgroup", path], n) for n, path in whole.items()]
+    for argv, rank in cases:
+        bound = bounds[rank]
+        for depth in (bound + 1, 15000):
+            # a usage error, before anything prints
+            assert main([*argv, "--series-depth", str(depth)]) == 1
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"depth must be <= {MAX_SERIES_DEPTH} (MAX_SERIES_DEPTH), got {depth}" in captured.err
-    # at the bound every coefficient prints, up to the letter syntax's rank 26:
-    # p(z) = 1/(1 - 16z^4) for the golden subgroup, 1/(1 - 26z) for F_26 itself
-    whole26 = write(tmp_path, "whole26.json", {"rank": 26, "permutations": [[1]] * 26})
-    for path, last in ((ex1, 2**MAX_SERIES_DEPTH), (whole26, 26**MAX_SERIES_DEPTH)):
-        out = tmp_path / "sub.out.json"
-        assert main(["subgroup", path, "--series-depth", str(MAX_SERIES_DEPTH), "--out", str(out)]) == 0
+            assert captured.out == "", argv
+            assert (
+                f"error: --series-depth must be <= {bound} at rank {rank} "
+                f"({rank}^K within 4300 digits), got {depth}"
+            ) in captured.err, argv
+    # at the bound every coefficient prints: p(z) = 1/(1 - nz) for F_n itself;
+    # under it a rank-2 depth the old fixed bound refused still prints
+    out = tmp_path / "sub.out.json"
+    for path, depth, last in (
+        (whole[28], bounds[28], 28 ** bounds[28]),
+        (whole[100], bounds[100], 100 ** bounds[100]),
+        (ex1, 5000, 16**1250),  # p(z) = 1/(1 - 16z^4), the golden subgroup
+    ):
+        assert main(["subgroup", path, "--series-depth", str(depth), "--out", str(out)]) == 0
         series = json.loads(out.read_text())["genfuncs"][0]["series"]
-        assert len(series) == MAX_SERIES_DEPTH + 1 and series[-1] == str(last)
-    assert main(["analyze", dup, "--series-depth", str(MAX_SERIES_DEPTH)]) == 2
+        assert len(series) == depth + 1 and series[-1] == str(last)
+    assert main(["analyze", dup, "--series-depth", str(bounds[2])]) == 2
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from cosetpart import formats, partition
 from cosetpart.corpus import generate_partition
+from cosetpart.zcovering import generate_z_covering
 from cosetpart.partition import (
     CyclicRecord,
     _pushforward_holds,
@@ -95,7 +96,9 @@ def test_reports_off_the_certificate_are_json_identical(corpus, monkeypatch):
         evaluated.append(args[2:])
         return _residue_sum(*args)
 
+    # a check of any cost costs more than the sums
     monkeypatch.setattr(partition, "PUSHFORWARD_BUDGET", 0)
+    monkeypatch.setattr(partition, "CONJUGATE_TESTS_PER_STEP", 10**18)
     monkeypatch.setattr(partition, "_residue_sum", counted)
     for key, spec in corpus.items():
         assert _pushforward_holds(records_of(spec.members)) is None, key
@@ -104,3 +107,34 @@ def test_reports_off_the_certificate_are_json_identical(corpus, monkeypatch):
     # rank 1 keeps the verdict's certificate; the six periodic rank >= 2
     # specs of the corpus evaluated their sums, at m = 1 once per period
     assert sorted(evaluated) == [(2, 1)] * 4 + [(5, 1)] * 2
+
+
+def lifted_records(classes):
+    """The records of a covering system of Z lifted to rank >= 2 through the
+    exponent sum (every letter steps each d-cycle by one): index = period =
+    modulus d, cyclic class r."""
+    return [CyclicRecord(d, d, r % d) for d, r in classes]
+
+
+def conjugate_tests(records):
+    """sum_h phi(h)^2 over the periods h > 1, as analyze passes it."""
+    poles = {r.period for r in records if r.period > 1}
+    return sum(sum(math.gcd(m, h) == 1 for m in range(1, h)) ** 2 for h in poles)
+
+
+def test_certificate_runs_where_it_is_the_cheaper_route():
+    # coprime periods: M is their product and the sums are cheap.  Split Z
+    # by 2, the halves by 3 and 5, four of those classes by 7, 13, 11, 17.
+    classes = [(6, 4), (10, 5), (10, 7), (10, 9)]
+    for p, (d, r) in zip((7, 13, 11, 17), [(6, 0), (6, 2), (10, 1), (10, 3)]):
+        classes += [(d * p, r + d * t) for t in range(p)]
+    records = lifted_records(classes)
+    assert sum(Fraction(1, r.index) for r in records) == 1
+    assert math.lcm(*(r.period for r in records)) == 510510
+    assert _pushforward_holds(records, conjugate_tests(records)) is None
+    # the same cover, where the sums would cost more
+    assert _pushforward_holds(records, 10**8) is True
+    # periods dividing one another: M = 345 600 is a period, the sums dear
+    records = lifted_records(generate_z_covering(24, 4))
+    assert math.lcm(*(r.period for r in records)) == 345600
+    assert _pushforward_holds(records, conjugate_tests(records)) is True
