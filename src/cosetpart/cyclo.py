@@ -16,10 +16,10 @@ Q(zeta_h) fixing Q (CycloNumber.conjugate, which returns a zero
 unchanged).  analyze decides the residue sums of a partition by the
 pushforward certificate (partition._pushforward_holds) and reports each
 as a zero built without this module; it evaluates them here only when
-that certificate fails or would cost more.  Then partition reads the
-residues at zeta_h / n in closed form from the members' cyclic classes,
-as integer buckets over one common denominator reduced once per period
-h (partition._residue_sum, also behind residue_sum_check), and
+that certificate fails, which contradicts the theory.  Then partition
+reads the residues at zeta_h / n in closed form from the members' cyclic
+classes, as integer buckets over one common denominator reduced once per
+period h (partition._residue_sum, also behind residue_sum_check), and
 conjugates the sum to every other m.  That needs no field operations, so
 this module holds none: the residues of the generating functions
 themselves, the reference for that closed form, live in oracle with the

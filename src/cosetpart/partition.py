@@ -38,9 +38,9 @@ every x, and by Fourier inversion that one integer condition holds iff
 sum_i 1/d_i = 1 and every such residue sum vanishes (see
 _pushforward_holds, with the proof).  So analyze decides all residue
 entries by stride sums over Z/lcm(h_i), and reports each as a zero of
-Q(zeta_h) built without the cyclo module; only when the cover fails, or
-the check would cost more than the sums (many coprime periods), does it
-evaluate them in Q(zeta_h).
+Q(zeta_h) built without the cyclo module; the check's steps are bounded
+by the orbit verify_partition has already walked.  Only when the cover
+fails, which contradicts the theory, does it evaluate them in Q(zeta_h).
 
 z_lift (one shared d-cycle per modulus d) gives a covering system of Z
 to the general machinery, with the certificate's verdict and the moduli
@@ -328,9 +328,10 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloN
     h | h_i and L = lcm(n d_i) among them, the integers -L/(n d_i) are
     bucketed at the exponent m (l_i + 1) mod h, then reduced once modulo
     Phi_h and divided by L once (CycloNumber.from_integers).  analyze calls
-    this only off the pushforward certificate (_pushforward_holds), at
-    m = 1 once per period h, and reads the other m coprime to h as sigma_m
-    conjugates of that sum (CycloNumber.conjugate).
+    this only on a verified partition whose pushforward cover fails
+    (_pushforward_holds), which contradicts the theory: at m = 1 once per
+    period h, reading the other m coprime to h as sigma_m conjugates of
+    that sum (CycloNumber.conjugate).
 
     Member i, of index d_i, period h_i and cyclic class l_i (the level of
     its vertex from the basepoint, mod h_i), has p_i = e_b (I - zA)^-1 e_v.
@@ -344,7 +345,7 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloN
     P = (w^(c(u) - c(u')))_(u, u') / d_i and w = zeta_h^-m.  The residue is
     -z0 P_(b, v) = -zeta_h^(m (l_i + 1)) / (n d_i).
     """
-    from .cyclo import CycloNumber  # local: analyze needs it only off the certificate
+    from .cyclo import CycloNumber  # local: analyze needs it only on a failed cover
 
     poles = [r for r in reports if r.period % h == 0]
     den = math.lcm(*(n * r.index for r in poles))
@@ -354,31 +355,11 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloN
     return CycloNumber.from_integers(h, buckets, den)
 
 
-# analyze runs the pushforward check where it is the cheaper route.  The
-# check takes M + sum_i M/h_i list steps, about 30 ns each.  Evaluating the
-# sums takes at least sum_h phi(h)^2 zero tests (phi(h) conjugates of phi(h)
-# coefficients each), about 3.5 ns each, so CONJUGATE_TESTS_PER_STEP to a
-# step, plus loading cyclo, about 1 ms: PUSHFORWARD_BUDGET steps.
-PUSHFORWARD_BUDGET = 1 << 15
-CONJUGATE_TESTS_PER_STEP = 8
-
-
-def _pushforward_holds(records, conjugate_tests: int = 0) -> bool | None:
+def _pushforward_holds(records) -> bool:
     """Whether the member records (index d_i, period h_i, cyclic class l_i)
     form a fractional exact cover of Z,
 
-        sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for every integer x,
-
-    or None when the check's M + sum_i M/h_i steps would cost more than
-    evaluating the residue sums: more than PUSHFORWARD_BUDGET plus
-    conjugate_tests / CONJUGATE_TESTS_PER_STEP, conjugate_tests being
-    sum_h phi(h)^2 over the periods h > 1 (analyze passes it).  Measured on
-    rank-2 lifts of coverings of Z, one core of a 2-vCPU host: with the
-    periods coprime the sums are cheap and M is their product (periods
-    6, 10, 42, 78, 110, 170 give M = 510 510: a check of 30 ms, against
-    1.2 ms for the sums); with the periods dividing each other M is the
-    largest, and the sums cost the more (lcm 345 600: 23 ms, against 56 ms
-    with the cyclotomic polynomials cached and 2 s without).
+        sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for every integer x.
 
     Lemma.  The records of a coset partition of F_n form such a cover.
     Proof.  Let l: F_n -> Z be the exponent sum (letters +1, inverses -1).
@@ -406,13 +387,27 @@ def _pushforward_holds(records, conjugate_tests: int = 0) -> bool | None:
     and every residue sum at every h | M vanishes.
 
     The check runs over Z/M with the integer weights L h_i/d_i,
-    L = lcm(d_i): one stride sum per member, sum_i M/h_i additions, and no
+    L = lcm(d_i): one stride sum per member, M + sum_i M/h_i steps, and no
     number of Q(zeta_h).
+
+    Its cost is bounded by the walk verify_partition has already run.  Let
+    K be the intersection of the H_i.  The tuple (H_g x)_g over the
+    distinct member graphs g determines Kx, so on a verified partition of
+    rank >= 2 verify_partition has walked all of K\\F_n, with rank x
+    #graphs coordinates per point.  Claim: that orbit has at least M
+    points, and at least d_g M/h_g for every graph g (index d_g, period
+    h_g).  Proof.  l(K) lies in every h_i Z, so in M Z, and
+    Kx -> (l(x) mod M, H_g x) is well defined, into the d_g M/h_g pairs
+    (r, v) with r = the class of v (mod h_g).  It is onto them: for
+    v = H_g y and r = l(y) (mod h_g), some k in H_g has l(k) = r - l(y)
+    (mod M), as l(H_g) = h_g Z, and k y maps to (r, v).  The first
+    coordinate alone is onto Z/M.  The members carried by g sit at
+    distinct vertices, or two would overlap, so sum_i M/h_i <= #graphs x
+    orbit, and the check's M + sum_i M/h_i steps are at most
+    (1 + #graphs) x orbit.  In rank 1 analyze takes the verdict as the
+    certificate and does not call this.
     """
     M = math.lcm(*(r.period for r in records))
-    steps = M + sum(M // r.period for r in records)
-    if steps > PUSHFORWARD_BUDGET + conjugate_tests // CONJUGATE_TESTS_PER_STEP:
-        return None
     L = math.lcm(*(r.index for r in records))
     cover = [0] * M
     for r in records:
@@ -422,8 +417,8 @@ def _pushforward_holds(records, conjugate_tests: int = 0) -> bool | None:
 
 
 class CycloZero(namedtuple("CycloZero", "h coeffs")):
-    """The zero of Q(zeta_h) as analyze reports a residue sum the
-    pushforward certificate decides: h and phi(h) int zeros, the fields a
+    """The zero of Q(zeta_h) as analyze reports a residue sum of a
+    partition whose cover holds: h and phi(h) int zeros, the fields a
     zero cyclo.CycloNumber serializes with, built without that module.  A
     record, not a field element: it compares as the tuple (h, coeffs), so
     never equal to a CycloNumber, and has no conjugate."""
@@ -587,8 +582,10 @@ def analyze(
     (_pushforward_holds): where it holds each is the zero of Q(zeta_h), a
     CycloZero.  In rank 1 every weight h_i/d_i is 1 (each graph is one
     d_i-cycle), so the cover is the covering system the verdict already
-    certified.  Only where the cover fails, or its check would cost more
-    than the sums, are they evaluated (_residue_sum).
+    certified.  In rank >= 2 the check costs a small multiple of the orbit
+    walk verify_partition has just run (see _pushforward_holds).  Only
+    where the cover fails, contradicting the theory, are the sums
+    evaluated (_residue_sum).
 
     So an entry's "value" is a CycloZero where the certificate decided it
     and a cyclo.CycloNumber where the sum was evaluated.  The two share h,
@@ -615,10 +612,7 @@ def analyze(
             h: [m for m in range(1, h) if math.gcd(m, h) == 1]
             for h in sorted({p for p in periods if p > 1})
         }
-        certified = bool(units) and (
-            spec.rank == 1
-            or _pushforward_holds(members, sum(len(ms) ** 2 for ms in units.values()))
-        )
+        certified = bool(units) and (spec.rank == 1 or _pushforward_holds(members))
         for h, ms in units.items():
             if certified:
                 values = [CycloZero(h, (0,) * len(ms))] * len(ms)

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_verify_reference import z_lift_to_f2
 
 from cosetpart import covering, formats, partition
 from cosetpart.cli import main
@@ -607,6 +608,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert own <= loaded, command
         unwanted |= never | (handlers - own)
         assert not unwanted & loaded, (command, sorted(unwanted & loaded))
+
+
+def test_analyze_loads_no_cyclo_on_many_coprime_periods(tmp_path):
+    # a rank-2 lift of a covering of Z with periods 6, 10, 42, 78, 110 and
+    # 170, whose product M = 510 510 the pushforward check runs over: it
+    # still decides the 146 residue sums, with no cyclotomic arithmetic
+    classes = [(6, 4), (10, 5), (10, 7), (10, 9)]
+    for p, (d, r) in zip((7, 13, 11, 17), [(6, 0), (6, 2), (10, 1), (10, 3)]):
+        classes += [(d * p, r + d * t) for t in range(p)]
+    spec = z_lift_to_f2(classes)
+    path = write(tmp_path, "coprime.json", formats.partition_spec_to_json(spec))
+    assert "cosetpart.cyclo" not in modules_run_by("analyze", path)
 
 
 def test_lazy_package_names_resolve_to_their_modules():

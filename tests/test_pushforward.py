@@ -1,23 +1,27 @@
 """The pushforward certificate that decides analyze's residue entries: the
 member records (d_i, h_i, l_i) of a coset partition cover Z exactly with
 weights h_i/d_i, and that cover holds iff sum 1/d_i = 1 and every residue
-sum vanishes."""
+sum vanishes.  In rank 1 it is the covering verdict, and in rank >= 2 its
+steps are bounded by the product orbit verify_partition walks."""
 
 import json
 import math
 import random
 from fractions import Fraction
 
+from test_verify_reference import orbit_size, z_families, z_lift_to_f2
+
 from cosetpart import formats, partition
 from cosetpart.corpus import generate_partition
-from cosetpart.zcovering import generate_z_covering
 from cosetpart.partition import (
     CyclicRecord,
     _pushforward_holds,
     _residue_sum,
     analyze,
     verify_partition,
+    z_verify,
 )
+from cosetpart.zcovering import generate_z_covering
 
 GRID = [(rank, depth, seed) for rank in (1, 2, 3) for depth in range(5) for seed in range(1, 5)]
 
@@ -85,7 +89,7 @@ def test_certificate_is_the_density_and_the_residue_sums():
 
 
 def test_reports_off_the_certificate_are_json_identical(corpus, monkeypatch):
-    # over budget, analyze evaluates every residue sum in Q(zeta_h)
+    # on a failed cover, analyze evaluates every residue sum in Q(zeta_h)
     expected = {
         key: json.dumps(formats.analysis_report_to_json(analyze(spec)))
         for key, spec in corpus.items()
@@ -96,12 +100,9 @@ def test_reports_off_the_certificate_are_json_identical(corpus, monkeypatch):
         evaluated.append(args[2:])
         return _residue_sum(*args)
 
-    # a check of any cost costs more than the sums
-    monkeypatch.setattr(partition, "PUSHFORWARD_BUDGET", 0)
-    monkeypatch.setattr(partition, "CONJUGATE_TESTS_PER_STEP", 10**18)
+    monkeypatch.setattr(partition, "_pushforward_holds", lambda records: False)
     monkeypatch.setattr(partition, "_residue_sum", counted)
     for key, spec in corpus.items():
-        assert _pushforward_holds(records_of(spec.members)) is None, key
         report = json.dumps(formats.analysis_report_to_json(analyze(spec)))
         assert report == expected[key], key
     # rank 1 keeps the verdict's certificate; the six periodic rank >= 2
@@ -116,25 +117,46 @@ def lifted_records(classes):
     return [CyclicRecord(d, d, r % d) for d, r in classes]
 
 
-def conjugate_tests(records):
-    """sum_h phi(h)^2 over the periods h > 1, as analyze passes it."""
-    poles = {r.period for r in records if r.period > 1}
-    return sum(sum(math.gcd(m, h) == 1 for m in range(1, h)) ** 2 for h in poles)
+def test_rank1_certificate_is_the_covering_verdict(mutants):
+    # analyze takes a rank-1 verdict as the certificate: with every weight
+    # h_i/d_i = 1 the cover is the covering system itself
+    verdicts = {True: 0, False: 0}
+    for classes in z_families(mutants):
+        holds = _pushforward_holds(lifted_records(classes))
+        assert holds == z_verify(classes).ok, classes
+        verdicts[holds] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 100
 
 
-def test_certificate_runs_where_it_is_the_cheaper_route():
-    # coprime periods: M is their product and the sums are cheap.  Split Z
-    # by 2, the halves by 3 and 5, four of those classes by 7, 13, 11, 17.
-    classes = [(6, 4), (10, 5), (10, 7), (10, 9)]
-    for p, (d, r) in zip((7, 13, 11, 17), [(6, 0), (6, 2), (10, 1), (10, 3)]):
-        classes += [(d * p, r + d * t) for t in range(p)]
-    records = lifted_records(classes)
-    assert sum(Fraction(1, r.index) for r in records) == 1
-    assert math.lcm(*(r.period for r in records)) == 510510
-    assert _pushforward_holds(records, conjugate_tests(records)) is None
-    # the same cover, where the sums would cost more
-    assert _pushforward_holds(records, 10**8) is True
-    # periods dividing one another: M = 345 600 is a period, the sums dear
-    records = lifted_records(generate_z_covering(24, 4))
-    assert math.lcm(*(r.period for r in records)) == 345600
-    assert _pushforward_holds(records, conjugate_tests(records)) is True
+def assert_check_within_the_orbit(spec) -> None:
+    # the bound in _pushforward_holds: the orbit has at least M points and
+    # at least d_g M/h_g for every graph g, so the check's M + sum M/h_i
+    # steps are at most (1 + #distinct graphs) times the orbit
+    records = records_of(spec.members)
+    big_m = math.lcm(*(r.period for r in records))
+    steps = big_m + sum(big_m // r.period for r in records)
+    orbit = orbit_size(spec)
+    graphs = {m.graph: r for m, r in zip(spec.members, records)}
+    assert orbit >= big_m
+    assert all(orbit >= r.index * big_m // r.period for r in graphs.values())
+    assert steps <= (1 + len(graphs)) * orbit, (steps, len(graphs), orbit)
+    assert _pushforward_holds(records) is True
+
+
+def test_check_is_bounded_by_the_orbit_walk():
+    grid = [(rank, depth, seed) for rank in (2, 3) for depth in range(9) for seed in range(1, 13)]
+    for key in grid:
+        spec = generate_partition(*key)
+        assert verify_partition(spec).ok, key
+        assert_check_within_the_orbit(spec)
+    # rank-2 lifts of coverings of Z: coprime periods, whose product M is
+    # (split Z by 2, the odd class by 3, and its classes 1, 3, 5 mod 6 by
+    # 5, 7 and 13), and periods dividing one another
+    coprime = [(2, 0)]
+    for p, r in zip((5, 7, 13), (1, 3, 5)):
+        coprime += [(6 * p, r + 6 * t) for t in range(p)]
+    assert math.lcm(*(d for d, _ in coprime)) == 2730
+    for classes in (coprime, generate_z_covering(12, 1)):
+        spec = z_lift_to_f2(classes)
+        assert verify_partition(spec).ok
+        assert_check_within_the_orbit(spec)

@@ -5,9 +5,10 @@ tuple's whole witness word.  `verify_by_member_coordinates` keeps parent
 pointers but gives each orbit tuple one coordinate per member.
 `verify_partition` keeps parent pointers and one coordinate per distinct
 Schreier graph, and must return the same verdict (status, witness and
-overlap indices) as both on valid and defective families.  Short
-witnesses are also checked from first principles: no shorter positive word, and no
-shortlex-earlier one of the same length, is a defect.  `z_verify` is
+overlap indices) as both on valid and defective families.  `orbit_size`
+counts the orbit such a walk visits.  Short witnesses are also checked
+from first principles: no shorter positive word, and no shortlex-earlier
+one of the same length, is a defect.  `z_verify` is
 checked against a membership count over the residues mod lcm.
 
 In rank 1 `verify_partition` reads residues off the cycles and decides
@@ -92,6 +93,26 @@ def verify_by_member_coordinates(spec):
                 parent[nxt] = (tup, letter)
                 queue.append(nxt)
     return PartitionVerdict(IS_PARTITION)
+
+
+def orbit_size(spec) -> int:
+    """The points of the orbit K\\F_n, K the intersection of the members'
+    subgroups: the basepoint tuples the letters reach, one coordinate per
+    distinct graph, walked breadth first as the reference walks above
+    walk them."""
+    graphs = list(dict.fromkeys(m.graph for m in spec.members))
+    rows = [[g.action[a] for g in graphs] for a in range(spec.rank)]
+    start = tuple(g.basepoint for g in graphs)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        tup = queue.popleft()
+        for row in rows:
+            nxt = tuple(action[v - 1] for action, v in zip(row, tup))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen)
 
 
 def hits(spec, word):
