@@ -26,10 +26,10 @@ from .covering import PartitionSpec, PartitionVerdict, _is_int
 from .schreier import SchreierGraph, coset, from_permutations
 from .words import check_rank, format_word, parse_word
 
-# The writers read only attributes of the exact numbers; the readers import
-# their classes when called, so parsing a subgroup, partition or Z file
-# loads no polynomial arithmetic, and only a subgroup given by generators
-# loads the folding code.
+# The writers read only attributes of the exact numbers, so this module
+# imports none of their classes, and parse_subgroup imports the folding
+# code only for a subgroup given by generators: parsing a subgroup,
+# partition or Z file loads no polynomial arithmetic.
 
 
 def load_json(path: str):
@@ -78,32 +78,12 @@ def poly_to_json(p) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def poly_from_json(coeffs):
-    from .poly import IntPolynomial
-
-    return IntPolynomial([int(c) for c in coeffs])
-
-
 def ratfunc_to_json(f) -> dict:
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 
-def ratfunc_from_json(obj):
-    from .ratfunc import RationalFunction
-
-    return RationalFunction(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
-
-
 def cyclo_to_json(x) -> dict:
     return {"h": x.h, "coeffs": [str(c) for c in x.coeffs]}
-
-
-def cyclo_from_json(obj):
-    from fractions import Fraction
-
-    from .cyclo import CycloNumber
-
-    return CycloNumber(obj["h"], [Fraction(c) for c in obj["coeffs"]])
 
 
 def series_to_json(counts) -> list[str]:

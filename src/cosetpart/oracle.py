@@ -32,11 +32,10 @@ module.
 
 The code that only the references run lives here too, so the production
 modules hold only what a command runs: the word enumerations
-(enumerate_positive, enumerate_reduced), division and divisibility in
-Q[z] (divmod_frac, divides), the derivative, walks and exact matrix
-powers (walk_counts, series_from_matrix) and the field operations of
-Q(zeta_h) (CycloFieldNumber, a CycloNumber with +, -, *, / and rationals
-coerced).
+(enumerate_positive, enumerate_reduced), divisibility in Q[z] (divides,
+by cyclo.divmod_frac), the derivative, and walks and exact matrix powers
+(walk_counts, series_from_matrix).  The arithmetic of Q(zeta_h), field
+operations included, is cyclo.CycloNumber's.
 
 Residues at z0 = zeta_h^m / n, with z0 handled symbolically through the
 triple (h, m, n), take two steps, neither of them arithmetic in Q(zeta_h)
@@ -58,10 +57,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
-from .cyclo import CycloNumber, cyclotomic
+from .cyclo import CycloNumber, cyclotomic, divmod_frac
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
 from .ratfunc import RationalFunction, _step, genfunc
 from .schreier import Coset, SchreierGraph, membership, resolve
@@ -330,32 +328,6 @@ def _matrix_power_rows(graph: SchreierGraph, start: int, depth: int) -> list[lis
     return rows
 
 
-def divmod_frac(num, den):
-    """Quotient and remainder in Q[z] of coefficient sequences (constant
-    term first), as lists with trailing zeros dropped from the remainder.
-
-    Entries may be ints or Fractions.  Division by a monic divisor keeps
-    integer inputs integral; otherwise each quotient entry is a Fraction.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den)
-    r = list(num)
-    lead = den[-1]
-    quo = [0] * max(len(r) - dn + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        t = r[k + dn - 1]
-        if lead != 1:
-            t = Fraction(t, lead)
-        quo[k] = t
-        if t:
-            for j in range(dn):
-                r[k + j] -= t * den[j]
-    while r and not r[-1]:
-        r.pop()
-    return quo, r
-
-
 def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
     """True iff p divides q in Q[z] (equivalently, exactly)."""
     if p.is_zero():
@@ -366,136 +338,6 @@ def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
 
 def derivative(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([i * c for i, c in enumerate(p.coeffs)][1:])
-
-
-def _qtrim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    res = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] += x * y
-    return res
-
-
-def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _qtrim(out)
-
-
-class CycloFieldNumber(CycloNumber):
-    """A CycloNumber with the field operations of Q(zeta_h).  An int or
-    Fraction operand, in arithmetic or ==, is the constant of the same
-    order; numbers of different orders do not mix."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_rational(cls, h: int, value) -> "CycloFieldNumber":
-        return cls(h, [Fraction(value)])
-
-    def _coerce(self, other):
-        if isinstance(other, CycloNumber):
-            if other.h != self.h:
-                raise ValueError(f"mixed cyclotomic orders {self.h} and {other.h}")
-            if isinstance(other, CycloFieldNumber):
-                return other
-            return CycloFieldNumber(self.h, other.coeffs)
-        if isinstance(other, (int, Fraction)):
-            return CycloFieldNumber.from_rational(self.h, other)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = CycloNumber.__hash__
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloFieldNumber(self.h, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloFieldNumber(self.h, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloFieldNumber(self.h, _qmul(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CycloFieldNumber":
-        """Extended Euclid against Phi_h, which is irreducible over Q, so
-        every nonzero element is a unit."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        mod = [Fraction(x) for x in cyclotomic(self.h).coeffs]
-        r0, r1 = mod, _qtrim([Fraction(c) for c in self.coeffs])
-        u0, u1 = [], [Fraction(1)]
-        while r1:
-            q, r = divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _qsub(u0, _qmul(q, u1))
-        # invariant r_i == u_i * self (mod Phi); r0 is a nonzero constant
-        # gcd because Phi_h is irreducible over Q
-        assert len(r0) == 1, "cyclotomic polynomial must be irreducible"
-        scale = 1 / r0[0]
-        return CycloFieldNumber(self.h, [scale * c for c in u0])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-
-def pole_multiplicity(den: IntPolynomial, h: int, n: int) -> int:
-    """The largest k with Phi_h(nz)^k dividing den: the multiplicity of
-    every zeta_h^m / n with m coprime to h as a root of den."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    # Phi_h(nz) is primitive (constant term +-1), so by Gauss's lemma it
-    # divides den in Q[z] iff it does in Z[z]: integer division decides
-    factor = [c * n**j for j, c in enumerate(cyclotomic(h).coeffs)]
-    order, coeffs = 0, den.coeffs
-    while len(coeffs) >= len(factor):
-        coeffs = _int_quotient(coeffs, factor)
-        if coeffs is None:
-            break
-        order += 1
-    return order
-
-
-def _root_order(h: int, m: int) -> int:
-    # zeta_h^m is a primitive root of unity of this order
-    if h < 1:
-        raise ValueError("order must be >= 1")
-    return h // math.gcd(m, h)
 
 
 def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
@@ -515,15 +357,15 @@ def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
     return buckets
 
 
-def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloFieldNumber:
+def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
     """p(zeta_h^m / n), exactly."""
-    return CycloFieldNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
+    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
 
 
-def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloFieldNumber | None:
+def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
     """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
     a pole.  Raises NotSimple if z0 is a multiple pole."""
-    order = pole_multiplicity(f.den, _root_order(h, m), n)
+    order = pole_order(f, h, m, n)
     if not order:
         return None
     if order > 1:
@@ -537,16 +379,31 @@ def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloFieldNumber 
         num = [c * n**shift for c in num]
     else:
         den = [c * n**-shift for c in den]
-    return CycloFieldNumber.from_integers(h, num) / CycloFieldNumber.from_integers(h, den)
+    return CycloNumber.from_integers(h, num) / CycloNumber.from_integers(h, den)
 
 
 def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
     """Multiplicity of z0 = zeta_h^m / n as a root of the denominator
-    (0 if z0 is not a pole)."""
-    return pole_multiplicity(f.den, _root_order(h, m), n)
+    (0 if z0 is not a pole): the largest k with Phi_h'(nz)^k dividing it,
+    where h' = h / gcd(m, h) is the order of zeta_h^m as a root of unity."""
+    if h < 1:
+        raise ValueError("order must be >= 1")
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    # Phi_h'(nz) is primitive (constant term +-1), so by Gauss's lemma it
+    # divides the denominator in Q[z] iff it does in Z[z]: integer division
+    # decides
+    factor = [c * n**j for j, c in enumerate(cyclotomic(h // math.gcd(m, h)).coeffs)]
+    order, coeffs = 0, f.den.coeffs
+    while len(coeffs) >= len(factor):
+        coeffs = _int_quotient(coeffs, factor)
+        if coeffs is None:
+            break
+        order += 1
+    return order
 
 
-def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloFieldNumber:
+def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
     """Residue N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n.
 
     Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.

@@ -314,9 +314,10 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> "CycloNumber":
     z0 = zeta_h^m / n, of the residues there.
 
     Zero on genuine partitions whenever h > 1; for h = 1 the point 1/n is
-    a pole of 1/(1-nz) itself and the sum is its residue -1/n.  Each
-    residue comes in closed form from the member's index, period and
-    cyclic class (see _residue_sum), with one memoised BFS per graph.
+    a pole of 1/(1-nz) itself and the sum is its residue -1/n (a
+    CycloNumber equal to Fraction(-1, n)).  Each residue comes in closed
+    form from the member's index, period and cyclic class (see
+    _residue_sum), with one memoised BFS per graph.
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
@@ -327,11 +328,12 @@ def _residue_sum(reports: list[CyclicRecord], n: int, h: int, m: int) -> "CycloN
     """residue_sum_check on member records.  Over the members with
     h | h_i and L = lcm(n d_i) among them, the integers -L/(n d_i) are
     bucketed at the exponent m (l_i + 1) mod h, then reduced once modulo
-    Phi_h and divided by L once (CycloNumber.from_integers).  analyze calls
-    this only on a verified partition whose pushforward cover fails
-    (_pushforward_holds), which contradicts the theory: at m = 1 once per
-    period h, reading the other m coprime to h as sigma_m conjugates of
-    that sum (CycloNumber.conjugate).
+    Phi_h and divided by L once (CycloNumber.from_integers), so the
+    coefficients are ints wherever L divides them, as on every zero sum.
+    analyze calls this only on a verified partition whose pushforward
+    cover fails (_pushforward_holds), which contradicts the theory: at
+    m = 1 once per period h, reading the other m coprime to h as sigma_m
+    conjugates of that sum (CycloNumber.conjugate).
 
     Member i, of index d_i, period h_i and cyclic class l_i (the level of
     its vertex from the basepoint, mod h_i), has p_i = e_b (I - zA)^-1 e_v.
@@ -421,7 +423,8 @@ class CycloZero(namedtuple("CycloZero", "h coeffs")):
     partition whose cover holds: h and phi(h) int zeros, the fields a
     zero cyclo.CycloNumber serializes with, built without that module.  A
     record, not a field element: it compares as the tuple (h, coeffs), so
-    never equal to a CycloNumber, and has no conjugate."""
+    never equal to a CycloNumber (nor to 0), is false, and has no field
+    operations and no conjugate."""
 
     __slots__ = ()
 
@@ -589,10 +592,11 @@ def analyze(
 
     So an entry's "value" is a CycloZero where the certificate decided it
     and a cyclo.CycloNumber where the sum was evaluated.  The two share h,
-    coeffs, is_zero() and the JSON form (formats.cyclo_to_json), but a
-    CycloZero is a named tuple: it is not equal to the zero CycloNumber
-    of its order and has no field operations (conjugate); rebuild one with
-    CycloNumber(value.h, value.coeffs) where a field element is needed.
+    coeffs, is_zero(), bool() and the JSON form (formats.cyclo_to_json),
+    but a CycloZero is a named tuple: it is not equal to the zero
+    CycloNumber of its order, nor to 0, and has no field operations;
+    rebuild one with CycloNumber(value.h, value.coeffs) where a field
+    element is needed.
     """
     verdict = verify_partition(spec)
     members = _member_reports(spec.members)

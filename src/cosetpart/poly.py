@@ -12,8 +12,9 @@ over the integers is the fallback when no evaluation point succeeds.
 Values at a power of two 2^k are read by shifts (at_power_of_two), at
 GCDHEU's first point and in partition's one-point sum identity.
 Division is exact division in Z[z]; nothing here builds a Fraction.
-The division in Q[z] (divmod_frac), divisibility in Q[z] and the
-derivative serve only the references and live in oracle.
+The division in Q[z] (divmod_frac) lives in cyclo, with the inverse in
+Q(zeta_h) that runs it; divisibility in Q[z] and the derivative serve
+only the references and live in oracle.
 """
 
 from __future__ import annotations

@@ -467,18 +467,6 @@ def test_closed_stdout_is_exit_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {os.strerror(errno.EPIPE)}\n"
 
 
-def test_serialized_values_roundtrip():
-    from fractions import Fraction
-
-    from cosetpart.cyclo import CycloNumber
-    from cosetpart.ratfunc import rational
-
-    f = rational([0, 2], [1, 0, 0, 0, -16])
-    assert formats.ratfunc_from_json(formats.ratfunc_to_json(f)) == f
-    x = CycloNumber(4, [Fraction(1, 4), Fraction(-3, 2)])
-    assert formats.cyclo_from_json(formats.cyclo_to_json(x)) == x
-
-
 def test_partition_spec_roundtrips_with_moved_basepoints():
     specs = [generate_partition(2, 3, 7), z_lift([(2, 0), (3, 1), (6, 2), (6, 5)])]
     for spec in list(specs):
@@ -552,6 +540,13 @@ def modules_run_by(*argv) -> set[str]:
 
 def cosetpart_modules(*names):
     return {f"cosetpart.{name}" for name in names}
+
+
+def test_cyclo_loads_neither_oracle_nor_partition():
+    # the number class of Q(zeta_h) sits below the residue code that uses it
+    modules = loaded_modules("import cosetpart.cyclo")
+    assert "cosetpart.cyclo" in modules
+    assert not cosetpart_modules("oracle", "partition") & modules
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):

@@ -22,7 +22,6 @@ from cosetpart.corpus import generate_partition
 from cosetpart.covering import PartitionSpec
 from cosetpart.cyclo import CycloNumber
 from cosetpart.oracle import (
-    CycloFieldNumber,
     pole_order,
     residue_at,
     residue_simple,
@@ -196,7 +195,7 @@ def closed_form_matches(reports, n):
                 assert value is None, (r, h)
                 non_poles += 1
             else:
-                expected = CycloFieldNumber.from_integers(h, [0] * ((r.cyclic_class + 1) % h) + [1])
+                expected = CycloNumber.from_integers(h, [0] * ((r.cyclic_class + 1) % h) + [1])
                 assert value == expected * Fraction(-1, n * r.index), (r, h)
                 poles += 1
     return poles, non_poles

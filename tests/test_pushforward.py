@@ -13,8 +13,10 @@ from test_verify_reference import orbit_size, z_families, z_lift_to_f2
 
 from cosetpart import formats, partition
 from cosetpart.corpus import generate_partition
+from cosetpart.cyclo import CycloNumber, cyclotomic
 from cosetpart.partition import (
     CyclicRecord,
+    CycloZero,
     _pushforward_holds,
     _residue_sum,
     analyze,
@@ -55,6 +57,23 @@ def test_certificate_holds_and_every_reported_sum_is_zero_on_the_grid():
             assert formats.cyclo_to_json(entry["value"]) == formats.cyclo_to_json(value)
             checked += 1
     assert checked == 177
+
+
+def test_certified_entries_are_cyclo_zeros(corpus):
+    # the certificate's zero is a record, not a field element: it
+    # serializes as the zero CycloNumber of its order, equals neither that
+    # nor 0, and is false
+    checked = 0
+    for key, spec in corpus.items():
+        for entry in analyze(spec).residue_sums:
+            value = entry["value"]
+            assert type(value) is CycloZero, key
+            zero = CycloNumber(value.h, [0] * cyclotomic(value.h).degree)
+            assert formats.cyclo_to_json(value) == formats.cyclo_to_json(zero)
+            assert value != zero and zero != value and value != 0
+            assert not value and value.is_zero() and entry["is_zero"]
+            checked += 1
+    assert checked == 62
 
 
 def test_mutant_records_fail_the_certificate(mutants):
