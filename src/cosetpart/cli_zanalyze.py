@@ -1,15 +1,17 @@
 """`cosetpart zanalyze <file>`: the certificate and the Davenport-Rado and
-period theorems on a covering system of Z.  The command line front end
-(cli) imports this module only when the command is chosen."""
+period theorems on a covering system of Z.  Davenport-Rado is theorem 1
+(i) and (iii) on the moduli; all three clause builders are covering's.
+The command line front end (cli) imports this module only when the
+command is chosen, and on a verified system it loads words, schreier,
+covering and formats, never zcovering."""
 
 from __future__ import annotations
 
 import sys
 
 from . import covering, formats
-from .covering import _theorem1_clauses, _theorem2_clauses
+from .covering import _davenport_rado_clauses, _theorem1_clauses, _theorem2_clauses
 from .formats import verdict_line
-from .zcovering import _davenport_rado_clauses
 
 
 def cmd_zanalyze(args) -> int:

@@ -4,19 +4,20 @@ on the standard library and words alone.
 PartitionVerdict, PartitionSpec and NotAPartition are the records every
 checker shares.  The theorem clauses here read only integers (member
 periods and indices), so the general checkers in the partition module
-and `cosetpart zanalyze` build their reports with the same code.
+and `cosetpart zanalyze` build their reports with the same code: one
+witness search and one repetition test build theorems 1 and 2, and the
+Davenport-Rado clauses are theorem 1 (i) and (iii) on the moduli.
 
 The covering systems of the integers are the rank-1 specialization of
 coset partitions: z_verify decides whether classes {d_i Z + r_i}
 partition Z by the O(s^2) certificate of _z_verdict, which rank-1
 verify_partition runs too, and davenport_rado_check tests the
-Davenport-Rado repetition on a verified system.  What only covering
-systems need (the gap search behind a failed certificate, the
-Davenport-Rado clauses, generate_z_covering) is the zcovering module,
-which these functions import when they reach it, so that analysing a
-partition of rank >= 2 never loads it.  The lift of a system to Schreier
-graphs (partition.z_lift) is the tests' reference for `cosetpart
-zanalyze`.
+Davenport-Rado repetition on a verified system.  The gap search behind
+a failed certificate is in the zcovering module, with
+generate_z_covering; _z_verdict imports it only for a defect, so that
+verifying a partition or a covering system never loads it.  The lift of
+a system to Schreier graphs (partition.z_lift) is the tests' reference
+for `cosetpart zanalyze`.
 """
 
 from __future__ import annotations
@@ -79,10 +80,18 @@ class PartitionSpec(namedtuple("PartitionSpec", "rank members")):
 
 # ---------------------------------------------------------------------------
 # theorem clauses on the integers of a verified partition
+#
+# Every clause is built from one witness search (_divisor_witnesses) and one
+# repetition test (_period_entry, and _index_entry within a set of members).
+# Theorem 1 (i) is clause (ii)'s entry at the maximal period, theorem 2 (i)
+# is clause (ii)'s test on the whole family, and Davenport-Rado is theorem 1
+# (i) and (iii) on the moduli of a covering system, which are its lift's
+# periods.
 
 
 def _non_dividing_periods(periods: list[int]) -> list[int]:
-    # periods > 1 that do not properly divide any period in the multiset
+    # periods > 1 that do not properly divide any period in the multiset;
+    # the maximal period, if > 1, is the last
     return [
         h
         for h in sorted(set(periods))
@@ -90,114 +99,100 @@ def _non_dividing_periods(periods: list[int]) -> list[int]:
     ]
 
 
+def _divisor_witnesses(values: list[int]) -> list[int | None]:
+    # per member, the first other member (numbered from 1) whose value its
+    # own divides, or None
+    return [
+        next((j for j, v in enumerate(values, start=1) if j != i and v % h == 0), None)
+        for i, h in enumerate(values, start=1)
+    ]
+
+
+def _period_entry(periods: list[int], h: int) -> dict:
+    # the members of period h, and whether there are at least two
+    members = [i for i, p in enumerate(periods, start=1) if p == h]
+    return {"period": h, "attainers": members, "ok": len(members) >= 2}
+
+
+def _index_entry(members, periods: list[int], indices: list[int]) -> tuple:
+    """The largest index among members, the members attaining it, those
+    of them whose period equals it, and whether it repeats (None when that
+    list is empty).  A member of index 1 is the whole group, which the
+    theorem excludes, so it never counts as period equal to index."""
+    top_index = max(indices[i - 1] for i in members)
+    top = [i for i in members if indices[i - 1] == top_index]
+    equal = [i for i in top if periods[i - 1] == top_index > 1]
+    return top_index, top, equal, (len(top) >= 2) if equal else None
+
+
+def _status(oks: list) -> str:
+    # a clause's status from its entries' verdicts, None for not applicable
+    if not oks:
+        return "vacuous"
+    if all(ok is None for ok in oks):
+        return "not_applicable"
+    return "fail" if False in oks else "pass"
+
+
+def _clause(entries: list[dict]) -> dict:
+    return {"status": _status([e["ok"] for e in entries]), "entries": entries}
+
+
 def _theorem1_clauses(periods: list[int]) -> dict:
     """partition.theorem1_check on the member periods of a verified
     partition."""
-    s = len(periods)
-    hmax = max(periods)
-
-    if hmax == 1:
-        clause_i = {"status": "vacuous", "max_period": 1, "attainers": []}
-    else:
-        attainers = [i for i, h in enumerate(periods, start=1) if h == hmax]
+    entries_ii = [_period_entry(periods, h) for h in _non_dividing_periods(periods)]
+    if entries_ii:
+        top = entries_ii[-1]
         clause_i = {
-            "status": "pass" if len(attainers) >= 2 else "fail",
-            "max_period": hmax,
-            "attainers": attainers,
+            "status": _status([top["ok"]]),
+            "max_period": top["period"],
+            "attainers": top["attainers"],
         }
-
-    entries_ii = []
-    for h in _non_dividing_periods(periods):
-        members = [i for i, p in enumerate(periods, start=1) if p == h]
-        entries_ii.append(
-            {"period": h, "attainers": members, "ok": len(members) >= 2}
-        )
-    clause_ii = {
-        "status": "vacuous"
-        if not entries_ii
-        else ("pass" if all(e["ok"] for e in entries_ii) else "fail"),
-        "entries": entries_ii,
-    }
-
-    if s == 1:
-        clause_iii = {"status": "vacuous", "entries": []}
     else:
-        entries_iii = []
-        for i, h in enumerate(periods, start=1):
-            witness = next(
-                (j for j, p in enumerate(periods, start=1) if j != i and p % h == 0),
-                None,
-            )
-            entries_iii.append(
-                {"member": i, "period": h, "witness": witness, "ok": witness is not None}
-            )
-        clause_iii = {
-            "status": "pass" if all(e["ok"] for e in entries_iii) else "fail",
-            "entries": entries_iii,
-        }
+        clause_i = {"status": "vacuous", "max_period": 1, "attainers": []}
 
+    entries_iii = [
+        {"member": i, "period": h, "witness": w, "ok": w is not None}
+        for i, (h, w) in enumerate(zip(periods, _divisor_witnesses(periods)), start=1)
+    ] if len(periods) > 1 else []
+
+    clauses = {
+        "clause_i": clause_i,
+        "clause_ii": _clause(entries_ii),
+        "clause_iii": _clause(entries_iii),
+    }
     return {
         "periods": periods,
-        "clause_i": clause_i,
-        "clause_ii": clause_ii,
-        "clause_iii": clause_iii,
-        "all_pass": all(
-            c["status"] != "fail" for c in (clause_i, clause_ii, clause_iii)
-        ),
+        **clauses,
+        "all_pass": all(c["status"] != "fail" for c in clauses.values()),
     }
 
 
 def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
     """partition.theorem2_check on the member periods and indices of a
     verified partition."""
-    dmax = max(indices)
-    attain = [i for i, d in enumerate(indices, start=1) if d == dmax]
-    # the theorem assumes every index exceeds 1; a member of index 1 is the
-    # whole group, forcing the trivial one-member partition
-    triggers = [i for i in attain if dmax > 1 and periods[i - 1] == indices[i - 1]]
-    if not triggers:
-        clause_i = {
-            "status": "not_applicable",
-            "max_index": dmax,
-            "attainers": attain,
-            "period_equals_index_at": [],
-        }
-    else:
-        clause_i = {
-            "status": "pass" if len(attain) >= 2 else "fail",
-            "max_index": dmax,
-            "attainers": attain,
-            "period_equals_index_at": triggers,
-        }
+    dmax, attain, equal, ok = _index_entry(range(1, len(periods) + 1), periods, indices)
+    clause_i = {
+        "status": _status([ok]),
+        "max_index": dmax,
+        "attainers": attain,
+        "period_equals_index_at": equal,
+    }
 
-    candidates = set(_non_dividing_periods(periods))
-    if max(periods) > 1:
-        candidates.add(max(periods))
     entries = []
-    for h in sorted(candidates):
-        group = [i for i, p in enumerate(periods, start=1) if p == h]
-        dj = max(indices[i - 1] for i in group)
-        top = [i for i in group if indices[i - 1] == dj]
-        trig = [i for i in top if periods[i - 1] == indices[i - 1]]
-        entry = {
+    for h in _non_dividing_periods(periods):
+        group = _period_entry(periods, h)["attainers"]
+        dj, _, equal, ok = _index_entry(group, periods, indices)
+        entries.append({
             "period": h,
             "attainers": group,
             "max_index_in_group": dj,
-            "period_equals_index_at": trig,
-            "applicable": bool(trig),
-            "ok": (len(top) >= 2) if trig else None,
-        }
-        entries.append(entry)
-    clause_ii = {
-        "status": "vacuous"
-        if not entries
-        else (
-            "not_applicable"
-            if not any(e["applicable"] for e in entries)
-            else ("pass" if all(e["ok"] is not False for e in entries) else "fail")
-        ),
-        "entries": entries,
-    }
+            "period_equals_index_at": equal,
+            "applicable": bool(equal),
+            "ok": ok,
+        })
+    clause_ii = _clause(entries)
 
     return {
         "periods": periods,
@@ -205,6 +200,26 @@ def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
         "clause_i": clause_i,
         "clause_ii": clause_ii,
         "all_pass": clause_i["status"] != "fail" and clause_ii["status"] != "fail",
+    }
+
+
+def _davenport_rado_clauses(moduli: list[int]) -> dict:
+    """davenport_rado_check on the moduli of a verified covering system:
+    theorem 1 (i) and (iii), under Davenport and Rado's names."""
+    dmax = max(moduli)
+    top = _period_entry(moduli, dmax)
+    applicable = dmax > 1
+    divisibility = [
+        {"member": i, "modulus": d, "divides_member": w, "ok": w is not None}
+        for i, (d, w) in enumerate(zip(moduli, _divisor_witnesses(moduli)), start=1)
+    ] if applicable else []
+    return {
+        "applicable": applicable,
+        "max_modulus": dmax,
+        "max_count": len(top["attainers"]),
+        "largest_repeats": top["ok"] if applicable else None,
+        "divisibility": divisibility,
+        "all_pass": not applicable or (top["ok"] and all(e["ok"] for e in divisibility)),
     }
 
 
@@ -287,8 +302,6 @@ def _z_verdict(classes) -> PartitionVerdict:
 def davenport_rado_check(classes) -> dict:
     """On a verified covering system with maximal modulus > 1: the largest
     modulus occurs at least twice, and every modulus divides another."""
-    from .zcovering import _davenport_rado_clauses
-
     classes = normalize_z_classes(classes)
     verdict = _z_verdict(classes)
     if not verdict.ok:

@@ -54,8 +54,6 @@ def fold(rank: int, generators) -> SchreierGraph:
     """
     check_rank(rank)
     gens = [reduce_word(g, rank) for g in generators]
-    if not gens:
-        raise ValueError("generators must be nonempty")
 
     parent = [0]
     edges: list[dict[int, int]] = [{}]  # signed letter -> end of that edge

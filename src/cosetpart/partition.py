@@ -48,9 +48,9 @@ as periods, and is the tests' reference for `cosetpart zanalyze`.
 
 The records, the integer theorem clauses and the rank-1 certificate
 live in the covering module; z_verify and davenport_rado_check are
-importable from here as well.  The rest of the covering systems of Z is
-the zcovering module, the corpus generator the corpus module, and the
---oracle section oracle._oracle_section.
+importable from here as well.  The gap search and generator of covering
+systems of Z are the zcovering module, the corpus generator the corpus
+module, and the --oracle section oracle._oracle_section.
 """
 
 from __future__ import annotations

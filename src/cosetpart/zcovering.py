@@ -1,13 +1,10 @@
-"""Covering systems of Z: what only they need, beside the certificate.
+"""Covering systems of Z: the gap search and the generator.
 
 covering._z_verdict decides whether classes {d_i Z + r_i} partition Z;
 _first_gap finds the least uncovered integer when that certificate
-fails.  _davenport_rado_clauses are the Davenport-Rado repetition
-clauses on the moduli of a verified system (covering.davenport_rado_check
-and `cosetpart zanalyze`), and generate_z_covering builds systems by
-iterated refinement.  Analysing a partition of rank >= 2 never loads
-this module; covering imports it only where a defect or a covering
-system is handled.
+fails, and generate_z_covering builds systems by iterated refinement.
+Verifying a partition or a covering system never loads this module:
+covering imports it only where a defect is handled.
 """
 
 from __future__ import annotations
@@ -47,38 +44,6 @@ def _first_gap(classes, bound: int) -> int | None:
             q = min(d // math.gcd(d, m) for d in meeting)
             stack.append((iter(range(a, a + m * q, m)), m * q))
     return best if best < bound else None
-
-
-def _davenport_rado_clauses(moduli: list[int]) -> dict:
-    """davenport_rado_check on the moduli of a verified covering system."""
-    dmax = max(moduli)
-    if dmax == 1:
-        return {
-            "applicable": False,
-            "max_modulus": 1,
-            "max_count": moduli.count(1),
-            "largest_repeats": None,
-            "divisibility": [],
-            "all_pass": True,
-        }
-    count = moduli.count(dmax)
-    divisibility = []
-    for i, d in enumerate(moduli, start=1):
-        witness = next(
-            (j for j, e in enumerate(moduli, start=1) if j != i and e % d == 0),
-            None,
-        )
-        divisibility.append(
-            {"member": i, "modulus": d, "divides_member": witness, "ok": witness is not None}
-        )
-    return {
-        "applicable": True,
-        "max_modulus": dmax,
-        "max_count": count,
-        "largest_repeats": count >= 2,
-        "divisibility": divisibility,
-        "all_pass": count >= 2 and all(e["ok"] for e in divisibility),
-    }
 
 
 def generate_z_covering(depth: int, seed: int) -> tuple[tuple[int, int], ...]:

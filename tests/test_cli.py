@@ -68,9 +68,10 @@ def test_subgroup_whole_group(tmp_path):
 
 
 def test_subgroup_infinite_index(tmp_path, capsys):
-    rc = main(["subgroup", write(tmp_path, "inf.json", {"rank": 2, "generators": ["a"]})])
-    assert rc == 2
-    assert "infinite index" in capsys.readouterr().err
+    for gens in (["a"], [], [""]):
+        rc = main(["subgroup", write(tmp_path, "inf.json", {"rank": 2, "generators": gens})])
+        assert rc == 2
+        assert "infinite index" in capsys.readouterr().err
 
 
 def test_malformed_word_is_exit_1(tmp_path, capsys):
@@ -570,7 +571,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "zanalyze": (
             ["zanalyze", write(tmp_path, "z.json", {"moduli": [[2, 0], [4, 1], [4, 3]]})],
             cosetpart_modules(
-                "poly", "cyclo", "ratfunc", "spectral", "partition", "corpus", "folding"
+                "poly", "cyclo", "ratfunc", "spectral", "partition", "corpus", "folding",
+                "zcovering",
             ),
         ),
         "generate": (

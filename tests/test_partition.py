@@ -13,6 +13,9 @@ from cosetpart.covering import (
     OVERLAP,
     NotAPartition,
     PartitionSpec,
+    _davenport_rado_clauses,
+    _theorem1_clauses,
+    _theorem2_clauses,
     davenport_rado_check,
     z_verify,
 )
@@ -387,6 +390,178 @@ def test_davenport_rado_examples():
         davenport_rado_check([(2, 0), (3, 1), (6, 5)])
     dr = davenport_rado_check([(1, 0)])
     assert dr["applicable"] is False and dr["all_pass"]
+
+
+# Every status branch of the clause builders, on hand-built lists: the
+# theorems hold on real partitions, so only such lists reach a "fail".
+T1_I_VACUOUS = {"status": "vacuous", "max_period": 1, "attainers": []}
+VACUOUS = {"status": "vacuous", "entries": []}
+DR_NOT_APPLICABLE = {
+    "applicable": False, "max_modulus": 1, "largest_repeats": None, "divisibility": [],
+    "all_pass": True,
+}
+CLAUSE_TABLE = [
+    # theorem 1: (i)-(iii) vacuous
+    (_theorem1_clauses, ([1],), {
+        "periods": [1], "clause_i": T1_I_VACUOUS, "clause_ii": VACUOUS,
+        "clause_iii": VACUOUS, "all_pass": True,
+    }),
+    (_theorem1_clauses, ([1, 1],), {
+        "periods": [1, 1], "clause_i": T1_I_VACUOUS, "clause_ii": VACUOUS,
+        "clause_iii": {"status": "pass", "entries": [
+            {"member": 1, "period": 1, "witness": 2, "ok": True},
+            {"member": 2, "period": 1, "witness": 1, "ok": True},
+        ]},
+        "all_pass": True,
+    }),
+    # theorem 1: (i)-(iii) pass
+    (_theorem1_clauses, ([2, 4, 4],), {
+        "periods": [2, 4, 4],
+        "clause_i": {"status": "pass", "max_period": 4, "attainers": [2, 3]},
+        "clause_ii": {"status": "pass", "entries": [
+            {"period": 4, "attainers": [2, 3], "ok": True},
+        ]},
+        "clause_iii": {"status": "pass", "entries": [
+            {"member": 1, "period": 2, "witness": 2, "ok": True},
+            {"member": 2, "period": 4, "witness": 3, "ok": True},
+            {"member": 3, "period": 4, "witness": 2, "ok": True},
+        ]},
+        "all_pass": True,
+    }),
+    # theorem 1: (i)-(iii) fail
+    (_theorem1_clauses, ([2, 3],), {
+        "periods": [2, 3],
+        "clause_i": {"status": "fail", "max_period": 3, "attainers": [2]},
+        "clause_ii": {"status": "fail", "entries": [
+            {"period": 2, "attainers": [1], "ok": False},
+            {"period": 3, "attainers": [2], "ok": False},
+        ]},
+        "clause_iii": {"status": "fail", "entries": [
+            {"member": 1, "period": 2, "witness": None, "ok": False},
+            {"member": 2, "period": 3, "witness": None, "ok": False},
+        ]},
+        "all_pass": False,
+    }),
+    # theorem 1: one member of period 6, so (iii) is vacuous
+    (_theorem1_clauses, ([6],), {
+        "periods": [6],
+        "clause_i": {"status": "fail", "max_period": 6, "attainers": [1]},
+        "clause_ii": {"status": "fail", "entries": [
+            {"period": 6, "attainers": [1], "ok": False},
+        ]},
+        "clause_iii": VACUOUS,
+        "all_pass": False,
+    }),
+    # theorem 2: index 1 never triggers (i), and (ii) is vacuous
+    (_theorem2_clauses, ([1], [1]), {
+        "periods": [1], "indices": [1],
+        "clause_i": {
+            "status": "not_applicable", "max_index": 1, "attainers": [1],
+            "period_equals_index_at": [],
+        },
+        "clause_ii": VACUOUS,
+        "all_pass": True,
+    }),
+    # theorem 2: (i) and (ii) pass
+    (_theorem2_clauses, ([2, 4, 4], [2, 4, 4]), {
+        "periods": [2, 4, 4], "indices": [2, 4, 4],
+        "clause_i": {
+            "status": "pass", "max_index": 4, "attainers": [2, 3],
+            "period_equals_index_at": [2, 3],
+        },
+        "clause_ii": {"status": "pass", "entries": [
+            {"period": 4, "attainers": [2, 3], "max_index_in_group": 4,
+             "period_equals_index_at": [2, 3], "applicable": True, "ok": True},
+        ]},
+        "all_pass": True,
+    }),
+    # theorem 2: (i) and (ii) fail
+    (_theorem2_clauses, ([2, 3], [2, 3]), {
+        "periods": [2, 3], "indices": [2, 3],
+        "clause_i": {
+            "status": "fail", "max_index": 3, "attainers": [2],
+            "period_equals_index_at": [2],
+        },
+        "clause_ii": {"status": "fail", "entries": [
+            {"period": 2, "attainers": [1], "max_index_in_group": 2,
+             "period_equals_index_at": [1], "applicable": True, "ok": False},
+            {"period": 3, "attainers": [2], "max_index_in_group": 3,
+             "period_equals_index_at": [2], "applicable": True, "ok": False},
+        ]},
+        "all_pass": False,
+    }),
+    # theorem 2: (i) and (ii) not applicable
+    (_theorem2_clauses, ([2, 2], [4, 4]), {
+        "periods": [2, 2], "indices": [4, 4],
+        "clause_i": {
+            "status": "not_applicable", "max_index": 4, "attainers": [1, 2],
+            "period_equals_index_at": [],
+        },
+        "clause_ii": {"status": "not_applicable", "entries": [
+            {"period": 2, "attainers": [1, 2], "max_index_in_group": 4,
+             "period_equals_index_at": [], "applicable": False, "ok": None},
+        ]},
+        "all_pass": True,
+    }),
+    # theorem 2: (ii) passes with one entry not applicable
+    (_theorem2_clauses, ([2, 3, 3], [4, 3, 3]), {
+        "periods": [2, 3, 3], "indices": [4, 3, 3],
+        "clause_i": {
+            "status": "not_applicable", "max_index": 4, "attainers": [1],
+            "period_equals_index_at": [],
+        },
+        "clause_ii": {"status": "pass", "entries": [
+            {"period": 2, "attainers": [1], "max_index_in_group": 4,
+             "period_equals_index_at": [], "applicable": False, "ok": None},
+            {"period": 3, "attainers": [2, 3], "max_index_in_group": 3,
+             "period_equals_index_at": [2, 3], "applicable": True, "ok": True},
+        ]},
+        "all_pass": True,
+    }),
+    # Davenport-Rado: not applicable (largest modulus 1)
+    (_davenport_rado_clauses, ([1],), {**DR_NOT_APPLICABLE, "max_count": 1}),
+    (_davenport_rado_clauses, ([1, 1],), {**DR_NOT_APPLICABLE, "max_count": 2}),
+    # Davenport-Rado: pass
+    (_davenport_rado_clauses, ([2, 4, 4],), {
+        "applicable": True, "max_modulus": 4, "max_count": 2, "largest_repeats": True,
+        "divisibility": [
+            {"member": 1, "modulus": 2, "divides_member": 2, "ok": True},
+            {"member": 2, "modulus": 4, "divides_member": 3, "ok": True},
+            {"member": 3, "modulus": 4, "divides_member": 2, "ok": True},
+        ],
+        "all_pass": True,
+    }),
+    # Davenport-Rado: the largest modulus does not repeat (so divides no other)
+    (_davenport_rado_clauses, ([2, 4],), {
+        "applicable": True, "max_modulus": 4, "max_count": 1, "largest_repeats": False,
+        "divisibility": [
+            {"member": 1, "modulus": 2, "divides_member": 2, "ok": True},
+            {"member": 2, "modulus": 4, "divides_member": None, "ok": False},
+        ],
+        "all_pass": False,
+    }),
+    (_davenport_rado_clauses, ([5],), {
+        "applicable": True, "max_modulus": 5, "max_count": 1, "largest_repeats": False,
+        "divisibility": [{"member": 1, "modulus": 5, "divides_member": None, "ok": False}],
+        "all_pass": False,
+    }),
+    # Davenport-Rado: the largest modulus repeats, but 3 divides no other
+    (_davenport_rado_clauses, ([3, 4, 4],), {
+        "applicable": True, "max_modulus": 4, "max_count": 2, "largest_repeats": True,
+        "divisibility": [
+            {"member": 1, "modulus": 3, "divides_member": None, "ok": False},
+            {"member": 2, "modulus": 4, "divides_member": 3, "ok": True},
+            {"member": 3, "modulus": 4, "divides_member": 2, "ok": True},
+        ],
+        "all_pass": False,
+    }),
+]
+
+
+
+def test_clause_builders_on_hand_built_lists():
+    for builder, args, expected in CLAUSE_TABLE:
+        assert builder(*args) == expected, (builder.__name__, args)
 
 
 def test_z_verify_agrees_with_lifted_machinery():

@@ -43,6 +43,10 @@ def test_fold_infinite_index():
         fold(2, words(["a"]))
     with pytest.raises(InfiniteIndex):
         fold(2, words(["abA"]))  # conjugate loop, still infinite index
+    # no generators, or only the empty word: the trivial subgroup
+    for gens in ([], words([""])):
+        with pytest.raises(InfiniteIndex):
+            fold(2, gens)
 
 
 def test_fold_mod2_kernel():
