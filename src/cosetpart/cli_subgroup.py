@@ -19,7 +19,7 @@ def cmd_subgroup(args) -> int:
     formats.check_series_depth(args.series_depth, rank)
     summary = char_data(graph)
     reps = transversal(graph)
-    gfs = [genfunc(graph, graph.basepoint, f) for f in range(1, graph.d + 1)]
+    gfs = [genfunc(graph, f) for f in range(1, graph.d + 1)]
 
     print(f"rank n = {rank}")
     print(f"index d = {graph.d}")

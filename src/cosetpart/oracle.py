@@ -15,15 +15,20 @@ tests require the same answers:
 - genfunc: series_from_matrix, exact matrix powers.  The normal form and
   e_s (I - zA)^(-1) e_t both have numerator degree < d, denominator
   degree <= d and denominator constant term 1, so series that agree to 2d
-  terms prove the functions equal (tests/test_ratfunc.py).
+  terms prove the functions equal (tests/test_ratfunc.py).  genfunc
+  walks from the graph's basepoint; the references take the start s as
+  an argument, and the tests compare them at every s on the graph
+  re-based there.
 - char_data's det(I - zA), packed from a graph's letter permutations:
   reciprocal_charpoly_by_faddeev, the Faddeev-LeVerrier recurrence on
   the whole transition matrix.
 - poly_gcd: poly_gcd_by_prs, primitive-PRS Euclid without GCDHEU.
 - period: period_by_cycles, the gcd of all simple cycle lengths.
 - Residue sums and lemma 8 (partition._residue_sum, _lemma8_clauses,
-  read in closed form from cyclic classes): residue_at, residue_simple
-  and pole_order, the residues of the generating functions themselves.
+  read in closed form from cyclic classes): residue_at and pole_order,
+  the residues of the generating functions themselves.  residue_at
+  returns None at a point that is not a pole and raises NotSimple at a
+  multiple one.
 
 The enumerations have hard budgets with loud errors, never silent
 truncation.  _oracle_section runs them for `analyze --oracle`
@@ -77,10 +82,6 @@ WORDS_MAX_LEN = 7
 
 class BudgetExceeded(Exception):
     """The requested enumeration is over the hard budget cap."""
-
-
-class NotAPole(ValueError):
-    """The denominator does not vanish at the requested point."""
 
 
 class NotSimple(ValueError):
@@ -217,7 +218,7 @@ def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
     depth = count_depth(spec.rank)
     for member in spec.members:
         counts = count_by_enumeration(member, depth)
-        if counts != genfunc(member.graph, member.graph.basepoint, member.vertex).series(depth):
+        if counts != genfunc(member.graph, member.vertex).series(depth):
             counts_agree = False
             break
 
@@ -357,11 +358,6 @@ def _scaled_eval(p: IntPolynomial, h: int, m: int, n: int) -> list[int]:
     return buckets
 
 
-def eval_at_root(p: IntPolynomial, h: int, m: int, n: int) -> CycloNumber:
-    """p(zeta_h^m / n), exactly."""
-    return CycloNumber.from_integers(h, _scaled_eval(p, h, m, n), n ** max(p.degree, 0))
-
-
 def residue_at(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber | None:
     """Residue N(z0)/D'(z0) of f at z0 = zeta_h^m / n, or None if z0 is not
     a pole.  Raises NotSimple if z0 is a multiple pole."""
@@ -402,13 +398,3 @@ def pole_order(f: RationalFunction, h: int, m: int, n: int) -> int:
         order += 1
     return order
 
-
-def residue_simple(f: RationalFunction, h: int, m: int, n: int) -> CycloNumber:
-    """Residue N(z0)/D'(z0) at the simple pole z0 = zeta_h^m / n.
-
-    Raises NotAPole if D(z0) != 0 and NotSimple if D'(z0) = 0 as well.
-    """
-    value = residue_at(f, h, m, n)
-    if value is None:
-        raise NotAPole(f"zeta_{h}^{m}/{n} is not a pole")
-    return value

@@ -165,10 +165,6 @@ def _require_partition(spec: PartitionSpec) -> None:
         raise NotAPartition(verdict)
 
 
-def member_genfunc(member: Coset) -> RationalFunction:
-    return genfunc(member.graph, member.graph.basepoint, member.vertex)
-
-
 def check_sum_identity(spec: PartitionSpec) -> tuple[bool, RationalFunction]:
     """Exact test of sum_i p_i(z) = 1/(1-nz); returns the residual
     sum_i p_i - 1/(1-nz) in normal form too (see _identities)."""
@@ -182,7 +178,7 @@ def check_coefficient_identity(spec: PartitionSpec, depth: int) -> bool:
 
 
 def _member_genfuncs(spec: PartitionSpec) -> list[RationalFunction]:
-    return [member_genfunc(m) for m in spec.members]
+    return [genfunc(m.graph, m.vertex) for m in spec.members]
 
 
 def _identities(
@@ -556,7 +552,7 @@ def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
         cyclic_class=_cyclic_class(member, summary.period),
         zero_multiplicity=summary.zero_multiplicity,
         reciprocal_charpoly=summary.reciprocal_charpoly,
-        genfunc=member_genfunc(member),
+        genfunc=genfunc(member.graph, member.vertex),
         vertex=member.vertex,
         rep=member.rep,
     )

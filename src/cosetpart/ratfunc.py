@@ -1,25 +1,26 @@
 """Exact rational functions and generating functions of Schreier automata.
 
 A generating function p(z) = sum a_k z^k counts accepted positive words
-by length; for start vertex i and end vertex f, a_k = (A^k)_{if}.  So
-p = N/q with q(z) = det(I - zA), which has q(0) = 1 and comes from the
-spectral layer, and N a signed minor of I - zA, of degree < d.  N is
-therefore the product q * s truncated below z^d, where s holds the walk
-counts a_0..a_{d-1}.  Its coefficients N_m = sum_j q_j a_{m-j} are the
-entries at f of u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i,
-so one walk of d - 1 sparse vector steps along the generator
-permutations gives the numerators for every end vertex at once; genfunc
-reads its end's column from that walk, cached per (graph, start).
-Normal forms come from poly_gcd (GCDHEU, PRS fallback), whose first
-evaluation point is a power of two X: when the values of the column N
-and of q there have a gcd of at most X/2, N and q are coprime and N/q is
-already the normal form, with no digits read and no trial division.  The
-independent routes are in oracle: exact matrix powers
-(series_from_matrix), and walk_counts, one walk per end, from which the
-tests rebuild each numerator.  A normal form N'/D with deg N' < d,
-deg D <= d and D(0) = 1 whose series matches it to 2d terms is the
-generating function N/q itself: N' q - N D has degree < 2d and vanishes
-mod z^(2d), so it is 0.
+by length.  They start at the graph's basepoint i, so for end vertex f,
+a_k = (A^k)_{if}.  So p = N/q with q(z) = det(I - zA), which has q(0) = 1
+and comes from the spectral layer, and N a signed minor of I - zA, of
+degree < d.  N is therefore the product q * s truncated below z^d, where
+s holds the walk counts a_0..a_{d-1}.  Its coefficients
+N_m = sum_j q_j a_{m-j} are the entries at f of
+u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i, so one walk
+of d - 1 sparse vector steps along the generator permutations gives the
+numerators for every end vertex at once; genfunc reads its end's column
+from that walk, cached per graph (the basepoint is part of the graph, so
+a re-based graph walks again).  Normal forms come from poly_gcd (GCDHEU,
+PRS fallback), whose first evaluation point is a power of two X: when the
+values of the column N and of q there have a gcd of at most X/2, N and q
+are coprime and N/q is already the normal form, with no digits read and
+no trial division.  The independent routes are in oracle: exact matrix
+powers (series_from_matrix), and walk_counts, one walk per end, from
+which the tests rebuild each numerator.  A normal form N'/D with
+deg N' < d, deg D <= d and D(0) = 1 whose series matches it to 2d terms
+is the generating function N/q itself: N' q - N D has degree < 2d and
+vanishes mod z^(2d), so it is 0.
 """
 
 from __future__ import annotations
@@ -138,36 +139,36 @@ WALK_TABLE_CACHE_SIZE = 8
 
 @lru_cache(maxsize=WALK_TABLE_CACHE_SIZE)
 def _numerators(
-    graph: SchreierGraph, start: int
+    graph: SchreierGraph,
 ) -> tuple[IntPolynomial, tuple[tuple[int, ...], ...]]:
     """q = det(I - zA), and a table whose entry [end - 1][m] is the
-    coefficient of z^m in the numerator N of genfunc(graph, start, end),
-    m < d: the end entry of u_m, where u_0 = q_0 e_start and
-    u_m = u_{m-1} A + q_m e_start."""
+    coefficient of z^m in the numerator N of genfunc(graph, end), m < d:
+    the end entry of u_m, where, with i the basepoint, u_0 = q_0 e_i and
+    u_m = u_{m-1} A + q_m e_i."""
     q = char_data(graph).reciprocal_charpoly
+    start = graph.basepoint - 1
     vec = [0] * graph.d
-    vec[start - 1] = q.coeffs[0]
+    vec[start] = q.coeffs[0]
     rows = [vec]
     for m in range(1, graph.d):
         vec = _step(graph, vec)
         if m < len(q.coeffs):
-            vec[start - 1] += q.coeffs[m]
+            vec[start] += q.coeffs[m]
         rows.append(vec)
     return q, tuple(zip(*rows))
 
 
 @lru_cache(maxsize=GENFUNC_CACHE_SIZE)
-def genfunc(graph: SchreierGraph, start: int, end: int) -> RationalFunction:
-    """Generating function of the automaton with the given start and end
-    vertices, in normal form.  Coefficient k counts the positive words of
-    length k leading from start to end.
+def genfunc(graph: SchreierGraph, end: int) -> RationalFunction:
+    """Generating function of the automaton from the graph's basepoint to
+    the end vertex, in normal form: coefficient k counts the positive
+    words of length k in the coset at end.
 
     It is N/q, N the end's column of the walk table, put in normal form
     by RationalFunction.  poly_gcd decides most of these pairs coprime at
     one power-of-two point, before any digit or trial division (see
     poly._gcdheu)."""
-    d = graph.d
-    if not (1 <= start <= d and 1 <= end <= d):
-        raise ValueError(f"start/end must lie in 1..{d}")
-    q, table = _numerators(graph, start)
+    if not 1 <= end <= graph.d:
+        raise ValueError(f"end must lie in 1..{graph.d}")
+    q, table = _numerators(graph)
     return RationalFunction(IntPolynomial(table[end - 1]), q)

@@ -4,8 +4,8 @@ A graph is the complete deterministic co-deterministic labelled graph
 on the d right cosets of a subgroup H: one permutation of {1..d} per
 generator, with a basepoint representing H itself.  Construction is
 either from explicit permutations (from_permutations) or by folding a
-wedge of generator loops (folding.fold).  Vertices are numbered 1..d
-with the basepoint equal to 1.
+wedge of generator loops (folding.fold).  Vertices are numbered 1..d,
+with the basepoint 1 unless the permutations name another.
 
 Every graph read off an action (fold's folded core, the corpus's kernels
 and meets) is built by one orbit walk, folding._orbit_graph.  Both live

@@ -6,14 +6,7 @@ import pytest
 
 from cosetpart import formats
 from cosetpart.cyclo import CycloNumber, cyclotomic, divmod_frac
-from cosetpart.oracle import (
-    NotAPole,
-    NotSimple,
-    divides,
-    eval_at_root,
-    pole_order,
-    residue_simple,
-)
+from cosetpart.oracle import NotSimple, divides, pole_order, residue_at
 from cosetpart.poly import IntPolynomial
 from cosetpart.ratfunc import genfunc, rational
 from cosetpart.spectral import period
@@ -147,28 +140,18 @@ def test_zeta_power_reduction():
     assert z * z == z - 1
 
 
-def test_eval_at_root_zeros():
-    for h, m, n in [(4, 1, 2), (3, 2, 3), (6, 5, 2)]:
-        p = IntPolynomial([1] + [0] * (h - 1) + [-(n**h)])  # 1 - (nz)^h
-        assert eval_at_root(p, h, m, n).is_zero()
-    assert eval_at_root(IntPolynomial([1, -2]), 1, 0, 2).is_zero()
-    assert eval_at_root(IntPolynomial([1, 0, -4]), 2, 1, 2).is_zero()
-    assert not eval_at_root(IntPolynomial([1, -2]), 2, 1, 2).is_zero()
-
-
 def test_residue_examples():
     # residues computed by N/D' at z0
-    assert residue_simple(rational([1], [1, 0, -4]), 2, 1, 2) == Fraction(1, 4)
-    assert residue_simple(rational([0, 2], [1, 0, -4]), 2, 1, 2) == Fraction(-1, 4)
-    assert residue_simple(rational([1], [1, -2]), 1, 0, 2) == Fraction(-1, 2)
+    assert residue_at(rational([1], [1, 0, -4]), 2, 1, 2) == Fraction(1, 4)
+    assert residue_at(rational([0, 2], [1, 0, -4]), 2, 1, 2) == Fraction(-1, 4)
+    assert residue_at(rational([1], [1, -2]), 1, 0, 2) == Fraction(-1, 2)
 
 
 def test_residue_errors():
-    with pytest.raises(NotAPole):
-        residue_simple(rational([1], [1, -2]), 4, 1, 2)
+    assert residue_at(rational([1], [1, -2]), 4, 1, 2) is None
     # (1-2z)^2 denominator: double pole at 1/2
     with pytest.raises(NotSimple):
-        residue_simple(rational([1], [1, -4, 4]), 1, 0, 2)
+        residue_at(rational([1], [1, -4, 4]), 1, 0, 2)
 
 
 def test_pole_order_examples():
@@ -180,8 +163,8 @@ def test_pole_order_examples():
 def test_residue_linearity():
     f = rational([1], [1, 0, -4])
     g = rational([0, 2], [1, 0, -4])
-    total = residue_simple(f + g, 1, 0, 2)  # f+g = 1/(1-2z)
-    assert total == residue_simple(f, 1, 0, 2) + residue_simple(g, 1, 0, 2)
+    total = residue_at(f + g, 1, 0, 2)  # f+g = 1/(1-2z)
+    assert total == residue_at(f, 1, 0, 2) + residue_at(g, 1, 0, 2)
 
 
 def test_automaton_poles_are_simple(graph_family):
@@ -189,6 +172,6 @@ def test_automaton_poles_are_simple(graph_family):
     for graph in graph_family.values():
         n, h = graph.rank, period(graph)
         for end in range(1, graph.d + 1):
-            f = genfunc(graph, 1, end)
+            f = genfunc(graph, end)
             for m in range(h):
                 assert pole_order(f, h, m, n) == 1

@@ -9,7 +9,7 @@ the sum fails; the residues and lemma 8 are read from each member's index,
 period and cyclic class.  The references below do the same work one
 member at a time: dense matrix powers per member, one rational addition
 per member, and residues of the members' generating functions
-(`oracle.pole_order`, `residue_at`, `residue_simple`).  Both must agree
+(`oracle.pole_order`, `residue_at`).  Both must agree
 on partitions and on defective families alike.
 """
 
@@ -21,12 +21,7 @@ import pytest
 from cosetpart.corpus import generate_partition
 from cosetpart.covering import PartitionSpec
 from cosetpart.cyclo import CycloNumber
-from cosetpart.oracle import (
-    pole_order,
-    residue_at,
-    residue_simple,
-    series_from_matrix,
-)
+from cosetpart.oracle import pole_order, residue_at, series_from_matrix
 from cosetpart.partition import (
     _identities,
     _lemma8_clauses,
@@ -34,10 +29,9 @@ from cosetpart.partition import (
     _residue_sum,
     check_coefficient_identity,
     check_sum_identity,
-    member_genfunc,
     member_periods,
 )
-from cosetpart.ratfunc import ZERO, geometric, rational
+from cosetpart.ratfunc import ZERO, genfunc, geometric, rational
 from cosetpart.schreier import coset, from_permutations, transversal
 
 DEPTHS = (0, 1, 7, 20)
@@ -57,7 +51,7 @@ def coefficient_identity_by_matrix(spec, depth):
 def sum_identity_by_members(spec):
     total = ZERO
     for member in spec.members:
-        total = total + member_genfunc(member)
+        total = total + genfunc(member.graph, member.vertex)
     residual = total - geometric(spec.rank)
     return residual.is_zero(), residual
 
@@ -66,13 +60,13 @@ def lemma8_by_residues(spec):
     """(h, pair, ok) for every h whose pole zeta_h / n the generating
     functions of exactly two members have; ok iff their residues cancel."""
     n = spec.rank
-    genfuncs = [member_genfunc(member) for member in spec.members]
+    genfuncs = [genfunc(member.graph, member.vertex) for member in spec.members]
     entries = []
     for h in range(2, max(member_periods(spec)) + 1):
         pair = [i for i, f in enumerate(genfuncs) if pole_order(f, h, 1, n) >= 1]
         if len(pair) == 2:
             j, k = pair
-            total = residue_simple(genfuncs[j], h, 1, n) + residue_simple(genfuncs[k], h, 1, n)
+            total = residue_at(genfuncs[j], h, 1, n) + residue_at(genfuncs[k], h, 1, n)
             entries.append((h, (j + 1, k + 1), total.is_zero()))
     return entries
 
@@ -149,7 +143,7 @@ def random_families(mutants, random_graph):
 def test_sum_identity_at_one_point_matches_normal_form_sums(mutants, random_graph):
     outcomes = set()
     for key, spec in random_families(mutants, random_graph).items():
-        genfuncs = [member_genfunc(m) for m in spec.members]
+        genfuncs = [genfunc(m.graph, m.vertex) for m in spec.members]
         total = sum(genfuncs, ZERO)
         sum_ok = _identities(spec.rank, genfuncs, 0)[0]
         assert sum_ok == (total == geometric(spec.rank)), key

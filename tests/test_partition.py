@@ -19,7 +19,7 @@ from cosetpart.covering import (
     davenport_rado_check,
     z_verify,
 )
-from cosetpart.oracle import partition_by_words
+from cosetpart.oracle import partition_by_words, series_from_matrix
 from cosetpart.partition import (
     analyze,
     check_coefficient_identity,
@@ -34,6 +34,7 @@ from cosetpart.partition import (
 )
 from cosetpart.ratfunc import genfunc, geometric, rational
 from cosetpart.schreier import (
+    SchreierGraph,
     coset,
     from_permutations,
     membership,
@@ -258,9 +259,9 @@ def test_z_lift_examples():
     assert cst.graph.d == 3 and cst.vertex == cst.graph.basepoint
     (cst,) = z_lift([(4, 1)]).members
     assert cst.vertex == 2
-    assert genfunc(cst.graph, 1, cst.vertex) == rational([0, 1], [1, 0, 0, 0, -1])
+    assert genfunc(cst.graph, cst.vertex) == rational([0, 1], [1, 0, 0, 0, -1])
     (cst,) = z_lift([(1, 0)]).members
-    assert genfunc(cst.graph, 1, 1) == rational([1], [1, -1])
+    assert genfunc(cst.graph, 1) == rational([1], [1, -1])
 
 
 def test_z_lift_period_equals_modulus():
@@ -652,17 +653,13 @@ def test_word_oracle_confirms_defects(mod2_graph, fig1_graph):
 
 
 def test_properties_hold_on_corpus(corpus):
-    import math
-
-    from cosetpart.oracle import series_from_matrix
-
     for key, spec in corpus.items():
         assert verify_partition(spec).ok, key
         ok, residual = check_sum_identity(spec)
         assert ok and residual.is_zero(), key
         assert check_coefficient_identity(spec, 20), key
         for member in spec.members:
-            f = genfunc(member.graph, member.graph.basepoint, member.vertex)
+            f = genfunc(member.graph, member.vertex)
             assert f.series(12) == series_from_matrix(
                 member.graph, member.graph.basepoint, member.vertex, 12
             ), key
@@ -710,6 +707,55 @@ def test_analyze_large_transversal_partition(random_graph, d, seed, want_period)
     assert [e["period"] for e in report.residue_sums] == [2] * (want_period == 2)
     assert all(e["is_zero"] for e in report.residue_sums)
     assert report.all_checks_pass
+
+
+def moved_basepoints(spec):
+    """The family with each member graph's basepoint swapped with its
+    vertex d by relabelling the letter permutations.  The reps are kept,
+    so every member is the same coset of the same subgroup, now at the
+    swapped vertex."""
+    moved = {}
+    for graph in {m.graph for m in spec.members}:
+        swap = {graph.basepoint: graph.d, graph.d: graph.basepoint}
+
+        def sigma(v):
+            return swap.get(v, v)
+
+        action = tuple(
+            tuple(sigma(perm[sigma(v) - 1]) for v in range(1, graph.d + 1))
+            for perm in graph.action
+        )
+        moved[graph] = SchreierGraph(action, sigma(graph.basepoint))
+    return PartitionSpec(spec.rank, tuple(coset(moved[m.graph], m.rep) for m in spec.members))
+
+
+def test_analyze_with_every_basepoint_moved(corpus, random_graph):
+    """analyze reads a member's coset, not where its graph numbers the
+    basepoint: moving every basepoint to vertex d leaves every verdict,
+    identity, clause and residue entry, and every member's index, period,
+    q(z) and generating function as they were; only the vertices move.
+    Each random graph's walks from vertex 1 and from vertex d differ, so a
+    generating function read from the wrong start shows."""
+    specs = list(corpus.values())
+    for key in [(12, 1, 1), (12, 1, 2)]:
+        graph = random_graph(*key)
+        assert any(
+            series_from_matrix(graph, 1, v, 2 * graph.d)
+            != series_from_matrix(graph, graph.d, v, 2 * graph.d)
+            for v in range(1, graph.d + 1)
+        )
+        specs.append(transversal_partition(graph))
+    moved_graphs = 0
+    for spec in specs:
+        moved = moved_basepoints(spec)
+        moved_graphs += sum(m.graph.basepoint != 1 for m in moved.members)
+        want, got = analyze(spec), analyze(moved)
+        assert got.verdict == want.verdict and want.verdict.ok
+        assert got._replace(spec=want.spec, members=want.members) == want
+        for before, after, member in zip(want.members, got.members, moved.members):
+            assert after.vertex == member.vertex
+            assert after._replace(vertex=before.vertex) == before
+    assert moved_graphs > 0
 
 
 def test_analyze_on_defective_family(mod2_graph):
