@@ -1,6 +1,7 @@
 """`cosetpart zanalyze <file>`: the certificate and the Davenport-Rado and
-period theorems on a covering system of Z.  Davenport-Rado is theorem 1
-(i) and (iii) on the moduli; all three clause builders are covering's.
+period theorems on a covering system of Z.  Davenport-Rado is read off
+theorem 1's report on the moduli, one witness search; the clause builders
+are covering's.
 The command line front end (cli) imports this module only when the
 command is chosen, and on a verified system it loads words, schreier,
 covering and formats, never zcovering."""
@@ -32,7 +33,8 @@ def cmd_zanalyze(args) -> int:
 
     # verified above: the clause builders take the moduli directly
     moduli = [d for d, _ in classes]
-    dr = _davenport_rado_clauses(moduli)
+    t1 = _theorem1_clauses(moduli)
+    dr = _davenport_rado_clauses(t1)
     report["davenport_rado"] = dr
     if dr["applicable"]:
         print(
@@ -50,7 +52,6 @@ def cmd_zanalyze(args) -> int:
     # period is d and where that vertex has cyclic class r.  So the lift has
     # the certificate's verdict and the moduli as periods, and no cycle need
     # be built; the tests compare this section with the lift itself.
-    t1 = _theorem1_clauses(moduli)
     t2 = _theorem2_clauses(moduli, moduli)
     agreement = {
         "verdict_matches": True,

@@ -78,14 +78,10 @@ def _meet(g1: SchreierGraph, g2: SchreierGraph) -> SchreierGraph:
     )
 
 
-def refine_member(member: Coset, subgroup: SchreierGraph) -> list[Coset]:
-    """Replace the coset H*rep by the cosets of K = H meet subgroup inside
-    it: one member K*t*rep per transversal word t of K lying in H."""
-    return _split(member, _meet(member.graph, subgroup))
-
-
 def _split(member: Coset, refined: SchreierGraph) -> list[Coset]:
-    """refine_member with the meet K = H meet subgroup already built."""
+    """Replace the coset H*rep by the cosets of the meet K = H meet subgroup
+    (refined, built by _meet) inside it: one member K*t*rep per
+    transversal word t of K lying in H."""
     reps = transversal(refined)
     inside = [
         v
@@ -118,7 +114,7 @@ def generate_partition(rank: int, depth: int, seed: int) -> PartitionSpec:
             refined = _meet(member.graph, candidate)
             if refined.d == member.graph.d or refined.d > MAX_REFINED_INDEX:
                 continue
-            # split by the meet already built: refine_member would build it again
+            # split by the meet already built, not a second one
             members[idx : idx + 1] = _split(member, refined)
             break
     return PartitionSpec(rank, tuple(members))

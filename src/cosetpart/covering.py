@@ -6,14 +6,14 @@ checker shares.  The theorem clauses here read only integers (member
 periods and indices), so the general checkers in the partition module
 and `cosetpart zanalyze` build their reports with the same code: one
 witness search and one repetition test build theorems 1 and 2, and the
-Davenport-Rado clauses are theorem 1 (i) and (iii) on the moduli.
+Davenport-Rado clauses are read off theorem 1's report on the moduli.
 
 The covering systems of the integers are the rank-1 specialization of
 coset partitions: z_verify decides whether classes {d_i Z + r_i}
 partition Z by the O(s^2) certificate of _z_verdict, which rank-1
-verify_partition runs too, and davenport_rado_check tests the
-Davenport-Rado repetition on a verified system.  The gap search behind
-a failed certificate is in the zcovering module, with
+verify_partition runs too, and davenport_rado_check reads the
+Davenport-Rado repetition off theorem 1 on a verified system.  The gap
+search behind a failed certificate is in the zcovering module, with
 generate_z_covering; _z_verdict imports it only for a defect, so that
 verifying a partition or a covering system never loads it.  The lift of
 a system to Schreier graphs (partition.z_lift) is the tests' reference
@@ -84,9 +84,9 @@ class PartitionSpec(namedtuple("PartitionSpec", "rank members")):
 # Every clause is built from one witness search (_divisor_witnesses) and one
 # repetition test (_period_entry, and _index_entry within a set of members).
 # Theorem 1 (i) is clause (ii)'s entry at the maximal period, theorem 2 (i)
-# is clause (ii)'s test on the whole family, and Davenport-Rado is theorem 1
-# (i) and (iii) on the moduli of a covering system, which are its lift's
-# periods.
+# is clause (ii)'s test on the whole family, and Davenport-Rado is read off
+# theorem 1 (i) and (iii) on the moduli of a covering system, which are its
+# lift's periods: one witness search per covering system.
 
 
 def _non_dividing_periods(periods: list[int]) -> list[int]:
@@ -203,23 +203,24 @@ def _theorem2_clauses(periods: list[int], indices: list[int]) -> dict:
     }
 
 
-def _davenport_rado_clauses(moduli: list[int]) -> dict:
-    """davenport_rado_check on the moduli of a verified covering system:
-    theorem 1 (i) and (iii), under Davenport and Rado's names."""
-    dmax = max(moduli)
-    top = _period_entry(moduli, dmax)
-    applicable = dmax > 1
-    divisibility = [
-        {"member": i, "modulus": d, "divides_member": w, "ok": w is not None}
-        for i, (d, w) in enumerate(zip(moduli, _divisor_witnesses(moduli)), start=1)
-    ] if applicable else []
+def _davenport_rado_clauses(theorem1: dict) -> dict:
+    """davenport_rado_check read off _theorem1_clauses on the moduli of a
+    verified covering system: clauses (i) and (iii) under Davenport and
+    Rado's names.  On a covering the largest modulus is 1 only for Z
+    itself, one class, where both clauses are vacuous."""
+    top, divisibility = theorem1["clause_i"], theorem1["clause_iii"]
+    applicable = top["status"] != "vacuous"
     return {
         "applicable": applicable,
-        "max_modulus": dmax,
-        "max_count": len(top["attainers"]),
-        "largest_repeats": top["ok"] if applicable else None,
-        "divisibility": divisibility,
-        "all_pass": not applicable or (top["ok"] and all(e["ok"] for e in divisibility)),
+        "max_modulus": top["max_period"],
+        "max_count": len(top["attainers"] if applicable else theorem1["periods"]),
+        "largest_repeats": top["status"] == "pass" if applicable else None,
+        "divisibility": [
+            {"member": e["member"], "modulus": e["period"],
+             "divides_member": e["witness"], "ok": e["ok"]}
+            for e in divisibility["entries"]
+        ] if applicable else [],
+        "all_pass": top["status"] != "fail" and divisibility["status"] != "fail",
     }
 
 
@@ -301,9 +302,10 @@ def _z_verdict(classes) -> PartitionVerdict:
 
 def davenport_rado_check(classes) -> dict:
     """On a verified covering system with maximal modulus > 1: the largest
-    modulus occurs at least twice, and every modulus divides another."""
+    modulus occurs at least twice, and every modulus divides another
+    (theorem 1 (i) and (iii) on the moduli)."""
     classes = normalize_z_classes(classes)
     verdict = _z_verdict(classes)
     if not verdict.ok:
         raise NotAPartition(verdict)
-    return _davenport_rado_clauses([d for d, _ in classes])
+    return _davenport_rado_clauses(_theorem1_clauses([d for d, _ in classes]))

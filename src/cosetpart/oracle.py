@@ -66,9 +66,9 @@ from collections.abc import Iterable
 from .covering import GAP, IS_PARTITION, OVERLAP, PartitionSpec, PartitionVerdict
 from .cyclo import CycloNumber, cyclotomic, divmod_frac
 from .poly import IntPolynomial, _int_quotient, _prs_gcd, content, primitive_part
-from .ratfunc import RationalFunction, _step, genfunc
+from .ratfunc import RationalFunction, _step
 from .schreier import Coset, SchreierGraph, membership, resolve
-from .spectral import period, transition_matrix
+from .spectral import transition_matrix
 from .words import Word, check_rank
 
 COUNT_MAX_DEPTH = 14
@@ -200,11 +200,11 @@ def partition_by_words(spec: PartitionSpec, max_len: int) -> PartitionVerdict:
     return PartitionVerdict(IS_PARTITION)
 
 
-def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
+def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict, reports) -> dict:
     """The oracle section of `analyze --oracle` (partition.analyze): the
     word classification against the verdict, the word counts of every
-    member against its generating function's series, and the cycle gcd
-    against the period of every member graph within the cycle budget."""
+    member against its report's genfunc, and the cycle gcd against its
+    report's period for every member graph within the cycle budget."""
     max_len = words_depth(spec.rank)
     if partition_by_words(spec, max_len).ok:
         # the word oracle can only refute up to its length bound
@@ -216,18 +216,17 @@ def _oracle_section(spec: PartitionSpec, verdict: PartitionVerdict) -> dict:
 
     counts_agree = True
     depth = count_depth(spec.rank)
-    for member in spec.members:
-        counts = count_by_enumeration(member, depth)
-        if counts != genfunc(member.graph, member.vertex).series(depth):
+    for member, report in zip(spec.members, reports):
+        if count_by_enumeration(member, depth) != report.genfunc.series(depth):
             counts_agree = False
             break
 
     periods_agree = True
     checked = 0
-    for member in spec.members:
+    for member, report in zip(spec.members, reports):
         if member.graph.d <= CYCLES_MAX_VERTICES:
             checked += 1
-            if period_by_cycles(member.graph) != period(member.graph):
+            if period_by_cycles(member.graph) != report.period:
                 periods_agree = False
                 break
 

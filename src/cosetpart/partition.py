@@ -274,8 +274,8 @@ class CyclicRecord(namedtuple("CyclicRecord", "index period cyclic_class")):
     """What the closed-form residues and lemma 8 read of a member: its
     index, its period and its cyclic class (the level of its vertex from
     the basepoint, mod the period; see _cyclic_class).  A MemberReport
-    carries the same three fields.  A named tuple, equal to the plain
-    tuple of its fields."""
+    begins with the same fields.  A named tuple, equal to the plain tuple
+    of its fields."""
 
     __slots__ = ()
 
@@ -295,14 +295,14 @@ def _cyclic_class(member: Coset, h: int) -> int:
     return (len(rep) - 2 * len([x for x in rep if x < 0])) % h
 
 
+def _cyclic_record(member: Coset, h: int) -> CyclicRecord:
+    return CyclicRecord(member.graph.d, h, _cyclic_class(member, h))
+
+
 def _cyclic_records(members) -> list[CyclicRecord]:
     """Index, period and cyclic class of every member: no characteristic
     polynomial, no generating function."""
-    records = []
-    for member in members:
-        h = period(member.graph)
-        records.append(CyclicRecord(member.graph.d, h, _cyclic_class(member, h)))
-    return records
+    return [_cyclic_record(member, period(member.graph)) for member in members]
 
 
 def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> "CycloNumber":
@@ -501,8 +501,8 @@ def z_lift(classes) -> PartitionSpec:
 class MemberReport(
     namedtuple(
         "MemberReport",
-        "index period cyclic_class zero_multiplicity reciprocal_charpoly "
-        "genfunc vertex rep",
+        CyclicRecord._fields
+        + ("zero_multiplicity", "reciprocal_charpoly", "genfunc", "vertex", "rep"),
     )
 ):
     """Everything computed for one member: as in CyclicRecord, then the
@@ -547,9 +547,7 @@ class AnalysisReport(
 
 def _member_report(member: Coset, summary: SpectralSummary) -> MemberReport:
     return MemberReport(
-        index=member.graph.d,
-        period=summary.period,
-        cyclic_class=_cyclic_class(member, summary.period),
+        *_cyclic_record(member, summary.period),
         zero_multiplicity=summary.zero_multiplicity,
         reciprocal_charpoly=summary.reciprocal_charpoly,
         genfunc=genfunc(member.graph, member.vertex),
@@ -629,7 +627,7 @@ def analyze(
     if with_oracle:
         from .oracle import _oracle_section  # local: only --oracle loads the references
 
-        oracle = _oracle_section(spec, verdict)
+        oracle = _oracle_section(spec, verdict, members)
 
     return AnalysisReport(
         spec=spec,

@@ -679,6 +679,25 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def test_each_covering_system_searches_for_witnesses_once(tmp_path, monkeypatch):
+    # Davenport-Rado is read off theorem 1's report, so zanalyze and
+    # davenport_rado_check each run one witness search on the moduli
+    searches = []
+    original = covering._divisor_witnesses
+
+    def counted(values):
+        searches.append(values)
+        return original(values)
+
+    monkeypatch.setattr(covering, "_divisor_witnesses", counted)
+    classes = [[2, 0], [4, 1], [4, 3]]
+    assert main(["zanalyze", write(tmp_path, "z.json", {"moduli": classes})]) == 0
+    assert searches == [[2, 4, 4]]
+    searches.clear()
+    covering.davenport_rado_check(classes)
+    assert searches == [[2, 4, 4]]
+
+
 def test_each_route_verifies_once(tmp_path, monkeypatch):
     verifies = count_calls(monkeypatch, "verify_partition")
     z_verifies = count_calls(monkeypatch, "z_verify")

@@ -22,7 +22,7 @@ def test_corpus_is_byte_identical():
 
 
 def test_each_nontrivial_kernel_is_met_once(monkeypatch):
-    # the accepted meet is split as built, not rebuilt by refine_member
+    # the accepted meet is split as built, not built a second time
     counts = {"kernels": 0, "meets": 0}
 
     def counted_kernel(rank, images):

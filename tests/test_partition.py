@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cosetpart import partition, ratfunc, spectral
-from cosetpart.corpus import generate_partition, refine_member
+from cosetpart.corpus import _meet, _split, generate_partition
 from cosetpart.covering import (
     GAP,
     IS_PARTITION,
@@ -393,6 +393,11 @@ def test_davenport_rado_examples():
     assert dr["applicable"] is False and dr["all_pass"]
 
 
+def davenport_rado_of(moduli):
+    # the Davenport-Rado report as zanalyze and davenport_rado_check build it
+    return _davenport_rado_clauses(_theorem1_clauses(moduli))
+
+
 # Every status branch of the clause builders, on hand-built lists: the
 # theorems hold on real partitions, so only such lists reach a "fail".
 T1_I_VACUOUS = {"status": "vacuous", "max_period": 1, "attainers": []}
@@ -520,10 +525,10 @@ CLAUSE_TABLE = [
         "all_pass": True,
     }),
     # Davenport-Rado: not applicable (largest modulus 1)
-    (_davenport_rado_clauses, ([1],), {**DR_NOT_APPLICABLE, "max_count": 1}),
-    (_davenport_rado_clauses, ([1, 1],), {**DR_NOT_APPLICABLE, "max_count": 2}),
+    (davenport_rado_of, ([1],), {**DR_NOT_APPLICABLE, "max_count": 1}),
+    (davenport_rado_of, ([1, 1],), {**DR_NOT_APPLICABLE, "max_count": 2}),
     # Davenport-Rado: pass
-    (_davenport_rado_clauses, ([2, 4, 4],), {
+    (davenport_rado_of, ([2, 4, 4],), {
         "applicable": True, "max_modulus": 4, "max_count": 2, "largest_repeats": True,
         "divisibility": [
             {"member": 1, "modulus": 2, "divides_member": 2, "ok": True},
@@ -533,7 +538,7 @@ CLAUSE_TABLE = [
         "all_pass": True,
     }),
     # Davenport-Rado: the largest modulus does not repeat (so divides no other)
-    (_davenport_rado_clauses, ([2, 4],), {
+    (davenport_rado_of, ([2, 4],), {
         "applicable": True, "max_modulus": 4, "max_count": 1, "largest_repeats": False,
         "divisibility": [
             {"member": 1, "modulus": 2, "divides_member": 2, "ok": True},
@@ -541,13 +546,14 @@ CLAUSE_TABLE = [
         ],
         "all_pass": False,
     }),
-    (_davenport_rado_clauses, ([5],), {
+    # not a covering: one class, so theorem 1 (iii), and with it the
+    # divisibility list, is vacuous
+    (davenport_rado_of, ([5],), {
         "applicable": True, "max_modulus": 5, "max_count": 1, "largest_repeats": False,
-        "divisibility": [{"member": 1, "modulus": 5, "divides_member": None, "ok": False}],
-        "all_pass": False,
+        "divisibility": [], "all_pass": False,
     }),
     # Davenport-Rado: the largest modulus repeats, but 3 divides no other
-    (_davenport_rado_clauses, ([3, 4, 4],), {
+    (davenport_rado_of, ([3, 4, 4],), {
         "applicable": True, "max_modulus": 4, "max_count": 2, "largest_repeats": True,
         "divisibility": [
             {"member": 1, "modulus": 3, "divides_member": None, "ok": False},
@@ -563,6 +569,29 @@ CLAUSE_TABLE = [
 def test_clause_builders_on_hand_built_lists():
     for builder, args, expected in CLAUSE_TABLE:
         assert builder(*args) == expected, (builder.__name__, args)
+
+
+def test_davenport_rado_is_theorem1_renamed(z_coverings):
+    # clauses (i) and (iii) of theorem 1 on the moduli, under Davenport and
+    # Rado's names, on Z itself, generated coverings and the 2^40 chain
+    chain40 = [(2**j, 2 ** (j - 1) - 1) for j in range(1, 41)] + [(2**40, 2**40 - 1)]
+    for classes in [[(1, 0)], *z_coverings, chain40]:
+        moduli = [d for d, _ in classes]
+        t1 = _theorem1_clauses(moduli)
+        top, divisibility = t1["clause_i"], t1["clause_iii"]
+        applicable = max(moduli) > 1
+        assert davenport_rado_check(classes) == {
+            "applicable": applicable,
+            "max_modulus": top["max_period"],
+            "max_count": len(top["attainers"]) if applicable else len(moduli),
+            "largest_repeats": top["status"] == "pass" if applicable else None,
+            "divisibility": [
+                {"member": e["member"], "modulus": e["period"],
+                 "divides_member": e["witness"], "ok": e["ok"]}
+                for e in divisibility["entries"]
+            ],
+            "all_pass": top["status"] != "fail" and divisibility["status"] != "fail",
+        }, classes
 
 
 def test_z_verify_agrees_with_lifted_machinery():
@@ -629,7 +658,7 @@ def test_generate_partition_contracts():
 
 def test_refine_member_splits_one_coset(mod2_graph):
     member = subgroup_coset(trivial_graph(2))
-    parts = refine_member(member, mod2_graph)
+    parts = _split(member, _meet(member.graph, mod2_graph))
     assert [m.graph.d for m in parts] == [2, 2]
     assert verify_partition(PartitionSpec(2, tuple(parts))).status == IS_PARTITION
 
