@@ -6,12 +6,14 @@ exactly by walking the orbit of the tuple of basepoints under the
 componentwise letter actions: the family partitions the group iff every
 reachable tuple sits on exactly one member's accept vertex, and a
 violating tuple yields a certifying witness word.  A tuple holds one
-coordinate per distinct Schreier graph, so the walk's time and memory are
-linear in the orbit size times the number of distinct graphs, not members.
-In rank 1 the orbit is one cycle of lcm(d_i) tuples and the walk is the
-residue scan of a covering system of Z, so verify_partition decides it
-with the covering module's certificate instead, on the residues read off
-each cycle.
+coordinate per distinct Schreier graph, packed into a str and stepped by
+str.translate, so the walk's time and memory are linear in the orbit
+size times the number of distinct graphs, not members.  When every graph
+has period equal to its index (always in rank 1) all letters act as one
+cycle on each, the orbit is one cycle of lcm(d_i) tuples and the walk is
+the residue scan of a covering system of Z, so verify_partition decides
+it with the covering module's certificate instead, on the residues read
+off each cycle.
 
 On genuine partitions the checkers test the consequences the theory
 predicts: the generating functions sum to 1/(1-nz) with the counting
@@ -56,6 +58,7 @@ module, and the --oracle section oracle._oracle_section.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque, namedtuple
 
 from .covering import (
@@ -78,6 +81,9 @@ from .schreier import Coset, SchreierGraph
 from .spectral import SpectralSummary, char_data, period
 from .words import Word
 
+# the code points of a str, one per vertex of the distinct graphs in the walk
+PACKED_VERTICES = sys.maxunicode + 1
+
 
 def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     """Exact disjoint-cover check by product-orbit BFS.
@@ -86,77 +92,94 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     actions is finite and every group element realises exactly the tuples
     in it (letter actions are bijections, so the monoid orbit equals the
     group orbit).  Members with equal Schreier graphs always sit at the
-    same vertex of it, so a tuple holds one coordinate per distinct graph
-    and a table counts the members accepting at each (graph, vertex).
-    Each tuple records only its BFS parent and the letter leading from it,
-    so the walk takes time and memory linear in the orbit size times the
-    number of distinct graphs; a witness word is read back along the
-    parent pointers only when a defect is found.  Witness words are
-    shortest, ties broken shortlex.
+    same vertex of it, so a tuple holds one coordinate per distinct graph.
+    It is packed into a str, one character per distinct graph g at code
+    point offset_g + vertex (0-based, the offsets running over the graphs'
+    vertex counts), so a letter acts on a tuple by one str.translate
+    through its table, in C.  The tuple lies on exactly one member's
+    vertex iff translating it through the table that maps each code point
+    to chr(the number of members there), and deletes it where that is 0,
+    gives "\\x01".  Each tuple records only the letter leading to it, and a
+    witness word is read back through the inverse letters' tables only
+    when a defect is found, so the walk takes time and memory linear in
+    the orbit size times the number of distinct graphs.  Witness words are
+    shortest, ties broken shortlex.  The graphs' vertices must number at
+    most PACKED_VERTICES, the code points of a str, or ValueError is
+    raised before any walk.
 
-    Rank 1 skips the walk.  Each graph is one d-cycle, of period d, and
-    after k steps the single letter has moved the basepoint onto member
-    i's vertex iff k = r_i (mod d_i), r_i being the member's cyclic class:
-    the exponent sum of its representative mod d_i (see _cyclic_class).
-    The walk would scan k = 0, 1, 2, ... for the first tuple not on
-    exactly one member, which is z_verify's scan of the classes
-    d_i Z + r_i; so the certificate decides, and a defect x becomes the
-    witness a^x, the same verdict the walk returns.
+    Cyclic families skip the walk.  If every graph has period = index d
+    (always so in rank 1), each of its d cyclic classes is one vertex and
+    every letter raises the class by 1 (spectral.period), so all letters
+    act as one d-cycle.  After k letters the basepoint has moved onto
+    member i's vertex iff k = r_i (mod d_i), r_i being the member's cyclic
+    class: the exponent sum of its representative mod d_i (see
+    _cyclic_class).  The walk would reach the tuples in that order, each
+    first by the word a^k, and stop at the first k not on exactly one
+    member, which is z_verify's scan of the classes d_i Z + r_i; so the
+    certificate decides, and a defect x becomes the witness a^x, the same
+    verdict the walk returns.
     """
     members = spec.members
-    if spec.rank == 1:
+    if spec.rank == 1 or all(period(m.graph) == m.graph.d for m in members):
         verdict = _z_verdict([(m.graph.d, _cyclic_class(m, m.graph.d)) for m in members])
         if verdict.ok:
             return verdict
         return PartitionVerdict(
             verdict.status, (1,) * verdict.witness, verdict.overlap_indices
         )
-    # 0-based vertices throughout; graphs keyed by value in first-appearance
-    # order, slot[g] is the coordinate of every member carried by g
-    slot: dict[SchreierGraph, int] = {}
+    # distinct graphs by value, in first-appearance order, each at its offset
+    offset: dict[SchreierGraph, int] = {}
+    total = 0
     for m in members:
-        slot.setdefault(m.graph, len(slot))
-    hits_at = [[0] * g.d for g in slot]
-    for m in members:
-        hits_at[slot[m.graph]][m.vertex - 1] += 1
-    # rows[a][c] is letter a + 1 acting on coordinate c
-    rows = tuple(
-        tuple(tuple(v - 1 for v in g.action[a]) for g in slot)
+        if m.graph not in offset:
+            offset[m.graph] = total
+            total += m.graph.d
+    if total > PACKED_VERTICES:
+        raise ValueError(
+            f"the distinct member graphs have {total} vertices in all; "
+            f"the orbit walk packs at most {PACKED_VERTICES}"
+        )
+    # the code point of each member's vertex; a graph's code points are its
+    # own, so a member is hit iff its code point occurs in the state
+    codes = [chr(offset[m.graph] + m.vertex - 1) for m in members]
+    accepting = [0] * total
+    for c in codes:
+        accepting[ord(c)] += 1
+    accept = {c: chr(k) if k else None for c, k in enumerate(accepting)}
+    letters = tuple(
+        {o + v: o + w - 1 for g, o in offset.items() for v, w in enumerate(g.action[a])}
         for a in range(spec.rank)
     )
-    start = tuple(g.basepoint - 1 for g in slot)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
+    start = "".join(chr(o + g.basepoint - 1) for g, o in offset.items())
+    parent = {start: 0}
     queue = deque([start])
     while queue:
-        tup = queue.popleft()
-        if sum(map(list.__getitem__, hits_at, tup)) != 1:
-            hits = [
-                i
-                for i, m in enumerate(members, start=1)
-                if tup[slot[m.graph]] == m.vertex - 1
-            ]
-            witness = _orbit_word(parent, tup)
+        state = queue.popleft()
+        if state.translate(accept) != "\x01":
+            witness = _orbit_word(parent, letters, state)
+            hits = [i for i, c in enumerate(codes, start=1) if c in state]
             if not hits:
                 return PartitionVerdict(GAP, witness=witness)
             return PartitionVerdict(
                 OVERLAP, witness=witness, overlap_indices=(hits[0], hits[1])
             )
-        for letter, row in enumerate(rows, start=1):
-            nxt = tuple(map(tuple.__getitem__, row, tup))
+        for letter, table in enumerate(letters, start=1):
+            nxt = state.translate(table)
             if nxt not in parent:
-                parent[nxt] = (tup, letter)
+                parent[nxt] = letter
                 queue.append(nxt)
     return PartitionVerdict(IS_PARTITION)
 
 
-def _orbit_word(parent: dict, tup: tuple[int, ...]) -> Word:
-    """The BFS word reaching tup: its letters read back along the parent
-    pointers, then reversed."""
-    letters = []
-    while (link := parent[tup]) is not None:
-        tup, letter = link
-        letters.append(letter)
-    return tuple(reversed(letters))
+def _orbit_word(parent: dict[str, int], letters: tuple[dict, ...], state: str) -> Word:
+    """The BFS word reaching state: its letters read back, each undone
+    through the inverse of its table, then reversed."""
+    inverses = [{w: v for v, w in table.items()} for table in letters]
+    word = []
+    while letter := parent[state]:
+        word.append(letter)
+        state = state.translate(inverses[letter - 1])
+    return tuple(reversed(word))
 
 
 def _require_partition(spec: PartitionSpec) -> None:
@@ -390,9 +413,9 @@ def _pushforward_holds(records) -> bool:
 
     Its cost is bounded by the walk verify_partition has already run.  Let
     K be the intersection of the H_i.  The tuple (H_g x)_g over the
-    distinct member graphs g determines Kx, so on a verified partition of
-    rank >= 2 verify_partition has walked all of K\\F_n, with rank x
-    #graphs coordinates per point.  Claim: that orbit has at least M
+    distinct member graphs g determines Kx, so on a verified partition
+    that is not cyclic (some period below its index) verify_partition has
+    walked all of K\\F_n, with #graphs coordinates per point.  Claim: that orbit has at least M
     points, and at least d_g M/h_g for every graph g (index d_g, period
     h_g).  Proof.  l(K) lies in every h_i Z, so in M Z, and
     Kx -> (l(x) mod M, H_g x) is well defined, into the d_g M/h_g pairs
@@ -402,8 +425,8 @@ def _pushforward_holds(records) -> bool:
     coordinate alone is onto Z/M.  The members carried by g sit at
     distinct vertices, or two would overlap, so sum_i M/h_i <= #graphs x
     orbit, and the check's M + sum_i M/h_i steps are at most
-    (1 + #graphs) x orbit.  In rank 1 analyze takes the verdict as the
-    certificate and does not call this.
+    (1 + #graphs) x orbit.  On a cyclic family, rank 1 among them,
+    analyze takes the verdict as the certificate and does not call this.
     """
     M = math.lcm(*(r.period for r in records))
     L = math.lcm(*(r.index for r in records))
@@ -577,10 +600,12 @@ def analyze(
     The residue sums at every scaled root zeta_h^m / n, h a period > 1 and
     m coprime to h, are decided together by the pushforward certificate
     (_pushforward_holds): where it holds each is the zero of Q(zeta_h), a
-    CycloZero.  In rank 1 every weight h_i/d_i is 1 (each graph is one
-    d_i-cycle), so the cover is the covering system the verdict already
-    certified.  In rank >= 2 the check costs a small multiple of the orbit
-    walk verify_partition has just run (see _pushforward_holds).  Only
+    CycloZero.  Where every member's period is its index, as in rank 1,
+    every weight h_i/d_i is 1 and the classes l_i are the residues
+    verify_partition read off the cycles, so the cover is the covering
+    system the verdict already certified.  Otherwise the check costs a
+    small multiple of the orbit walk verify_partition has just run (see
+    _pushforward_holds).  Only
     where the cover fails, contradicting the theory, are the sums
     evaluated (_residue_sum).
 
@@ -610,7 +635,8 @@ def analyze(
             h: [m for m in range(1, h) if math.gcd(m, h) == 1]
             for h in sorted({p for p in periods if p > 1})
         }
-        certified = bool(units) and (spec.rank == 1 or _pushforward_holds(members))
+        cyclic = all(r.period == r.index for r in members)
+        certified = bool(units) and (cyclic or _pushforward_holds(members))
         for h, ms in units.items():
             if certified:
                 values = [CycloZero(h, (0,) * len(ms))] * len(ms)

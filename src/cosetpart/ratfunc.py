@@ -8,10 +8,11 @@ degree < d.  N is therefore the product q * s truncated below z^d, where
 s holds the walk counts a_0..a_{d-1}.  Its coefficients
 N_m = sum_j q_j a_{m-j} are the entries at f of
 u_m = sum_j q_j e_i A^(m-j), and u_m = u_{m-1} A + q_m e_i, so one walk
-of d - 1 sparse vector steps along the generator permutations gives the
-numerators for every end vertex at once; genfunc reads its end's column
-from that walk, cached per graph (the basepoint is part of the graph, so
-a re-based graph walks again).  Normal forms come from poly_gcd (GCDHEU,
+of d - 1 sparse vector steps along the generator permutations (each
+over the nonzero entries alone, which on a graph of period h lie on one
+cyclic class) gives the numerators for every end vertex at once;
+genfunc reads its end's column from that walk, cached per graph (the
+basepoint is part of the graph, so a re-based graph walks again).  Normal forms come from poly_gcd (GCDHEU,
 PRS fallback), whose first evaluation point is a power of two X: when the
 values of the column N and of q there have a gcd of at most X/2, N and q
 are coprime and N/q is already the normal form, with no digits read and
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from .poly import IntPolynomial, poly_gcd
 from .schreier import SchreierGraph, _tuple_new
@@ -123,12 +125,14 @@ GENFUNC_CACHE_SIZE = 2048
 
 
 def _step(graph: SchreierGraph, vec: list[int]) -> list[int]:
-    """vec A: each letter carries the count at v to perm[v]."""
-    nxt = [0] * graph.d
+    """vec A: each letter carries the count at v to perm[v], for the
+    nonzero entries of vec alone."""
+    d = graph.d
+    nxt = [0] * d
+    nonzero = list(compress(range(d), vec))
     for perm in graph.action:
-        for v, count in enumerate(vec):
-            if count:
-                nxt[perm[v] - 1] += count
+        for v in nonzero:
+            nxt[perm[v] - 1] += vec[v]
     return nxt
 
 
@@ -144,7 +148,12 @@ def _numerators(
     """q = det(I - zA), and a table whose entry [end - 1][m] is the
     coefficient of z^m in the numerator N of genfunc(graph, end), m < d:
     the end entry of u_m, where, with i the basepoint, u_0 = q_0 e_i and
-    u_m = u_{m-1} A + q_m e_i."""
+    u_m = u_{m-1} A + q_m e_i.
+
+    Each step runs over the nonzero entries of u_m alone (_step).
+    On a graph of period h, q_m = 0 unless h | m (q(z) = q_C(z^h), see
+    spectral._reciprocal_charpoly), so u_m lives on one cyclic class, the
+    class of i plus m: a d-cycle's walk takes O(d) interpreted steps."""
     q = char_data(graph).reciprocal_charpoly
     start = graph.basepoint - 1
     vec = [0] * graph.d

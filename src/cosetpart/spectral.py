@@ -14,21 +14,24 @@ hashed or checked for them.
 
 One BFS over the letter permutations gives the period h (in rank 1 it
 is d, with no BFS); it is memoised per graph, so each distinct graph
-runs it once.  A vertex's cyclic class
-is its BFS level mod h; a coset's is read off its representative
-(partition._cyclic_class), so no per-vertex table is kept.  The
-eigenvalues of modulus n are n * omega for the h-th roots of unity
-omega, each simple, with eigenvectors omega^class (Perron-Frobenius).
-q(z) is kept exact, as an integer polynomial, from the power sums
-p_k = tr(A^k), k = 1..d, and Newton's identities (all divisions are
-exact over the integers).  Each row of A^k is packed into one Python
-integer, a fixed-width bit field per entry, starting from the rows of A
-read off the letter permutations; a row of A^k is the sum of at most n
-scaled packed rows of A^(k-1), so every step is O(n d) big-integer
-additions, done in C, instead of O(n d^2) interpreted additions of
-single entries.  The dense matrix
-(transition_matrix) is built only for the subgroup report and the
-references in oracle.
+runs it once.  A vertex's cyclic class is its BFS level mod h (_levels);
+a coset's is read off its representative (partition._cyclic_class), so
+no per-vertex table is kept.  The eigenvalues of modulus n are n * omega
+for the h-th roots of unity omega, each simple, with eigenvectors
+omega^class (Perron-Frobenius).
+
+q(z) is kept exact, as an integer polynomial.  Ordered by cyclic class,
+A is block-cyclic, and q(z) = q_C(z^h) for the (d/h)-square matrix C of
+length-h walks from class 0 back to class 0 (_reciprocal_charpoly, with
+the proof).  q_C comes from the power sums p_k = tr(C^k), k = 1..d/h,
+and Newton's identities (all divisions are exact over the integers).
+Each row of C^k is packed into one Python integer, a fixed-width bit
+field per entry; a row of C^k is the sum of scaled packed rows of
+C^(k-1), one per nonzero of the row of C, so every step is big-integer
+additions done in C instead of interpreted additions of single entries.
+A d-cycle, of period d, gives the 1-square C = (n^d) and no power step;
+an aperiodic graph has C = A.  The dense matrix (transition_matrix) is
+built only for the subgroup report and the references in oracle.
 """
 
 from __future__ import annotations
@@ -60,18 +63,9 @@ def transition_matrix(graph: SchreierGraph) -> Matrix:
 SPECTRAL_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
-def period(graph: SchreierGraph) -> int:
-    """Period of the transition matrix: the gcd over all edges u->v of
-    level(u) + 1 - level(v), level being the BFS level from vertex 1 over
-    the letter edges.  This equals the gcd of all closed-walk lengths as
-    the digraph is strongly connected (module docstring).  Memoised per
-    graph, so members sharing a graph run one BFS.
-
-    Rank 1 runs none: the single letter's permutation is transitive, so it
-    is one d-cycle, whose only closed walks are the multiples of d."""
-    if graph.rank == 1:
-        return graph.d
+def _levels(graph: SchreierGraph) -> list[int]:
+    """BFS level of every vertex (0-based) from vertex 1 over the letter
+    edges."""
     action = graph.action
     level = [-1] * graph.d
     level[0] = 0
@@ -82,8 +76,24 @@ def period(graph: SchreierGraph) -> int:
             if level[v] < 0:
                 level[v] = level[u] + 1
                 order.append(v)
+    return level
+
+
+@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+def period(graph: SchreierGraph) -> int:
+    """Period of the transition matrix: the gcd over all edges u->v of
+    level(u) + 1 - level(v), level being the BFS level from vertex 1 over
+    the letter edges (_levels).  This equals the gcd of all closed-walk
+    lengths as the digraph is strongly connected (module docstring).
+    Memoised per graph, so members sharing a graph run one BFS.
+
+    Rank 1 runs none: the single letter's permutation is transitive, so it
+    is one d-cycle, whose only closed walks are the multiples of d."""
+    if graph.rank == 1:
+        return graph.d
+    level = _levels(graph)
     g = 0
-    for perm in action:
+    for perm in graph.action:
         for u, w in enumerate(perm):
             g = math.gcd(g, level[u] + 1 - level[w - 1])
     return g
@@ -101,55 +111,105 @@ class SpectralSummary(
 
 
 def _reciprocal_charpoly(graph: SchreierGraph) -> IntPolynomial:
-    """q(z) = det(I - zA) = 1 + c_1 z + ... + c_d z^d for the transition
-    matrix A of the graph, from the power sums p_k = tr(A^k) by Newton's
-    identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).
+    """q(z) = det(I - zA) for the transition matrix A of the graph, as
+    q_C(z^h), where h is the period and q_C(y) = det(I - yC) for the
+    (d/h)-square matrix C of length-h walks from class 0 back to class 0.
 
-    Row i of A^k is held as one integer, the sum of (A^k)_ij << (bits * j);
-    row i of A holds a_it, the number of letters taking vertex i to t.
-    Every row of A sums to the rank n, so the entries of A^k are at most
-    n^k: with 1 the all-ones vector, A^k 1 = n^k 1, and an entry of the
-    nonnegative A^k is at most its row sum.  For k <= d every entry is
-    thus below 2^(bits - 1), and so is every partial sum while a row of
-    A^k = A A^(k-1) is accumulated (its terms are nonnegative), so no field
-    ever carries into the next and every entry is read back by a shift and
-    a mask.
+    Block form.  Number the cyclic classes 0..h-1 by BFS level mod h
+    (_levels; vertex 1 is in class 0).  Every letter raises the class by
+    1 mod h (period), so A maps class c into class c + 1 only: ordered by
+    class, A is block-cyclic with blocks A_(c,c+1).  The classes have
+    equal sizes m = d/h, since the n m_c letter edges leaving class c are
+    the n m_(c+1) entering class c + 1.  C = A_(0,1) A_(1,2) ... A_(h-1,0)
+    is m-square, and its row for a class-0 vertex u is e_u A^h, which lies
+    on class 0: the row of A at u, counted off the letters, then h - 1
+    sparse steps.  For h = 1, C is A.
+
+    Lemma.  det(I - zA) = det(I - z^h C).  Proof.  A closed walk raises
+    the class by its length, so tr(A^k) = 0 unless h | k.  A^(hj) maps
+    every class into itself, and its block on class c is P^j for the
+    product P = YX of the blocks taken round from class c, where
+    C = XY (X the blocks from class 0 to class c, Y the rest), so
+    tr(P^j) = tr(Y (XY)^(j-1) X) = tr(C^j), and tr(A^(hj)) = h tr(C^j).
+    As formal power series over Q, log det(I - zA) = -sum_k tr(A^k) z^k / k
+    = -sum_j h tr(C^j) z^(hj) / (hj) = log det(I - z^h C), and both
+    determinants are 1 at z = 0.
+
+    q_C comes from the power sums p_k = tr(C^k), k = 1..m, by Newton's
+    identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).  Row i of
+    C^k is held as one integer, the sum of (C^k)_ij << (bits * j).  Entry
+    (u, v) of C^k counts the walks of length hk from u to v, of which there
+    are at most n^(hk) <= n^d for k <= m, as n letters leave every vertex.
+    So every entry is below 2^(bits - 1), and so is every partial sum while
+    a row of C^k = C C^(k-1) is accumulated (its terms are nonnegative): no
+    field ever carries into the next, and every entry is read back by a
+    shift and a mask.  A d-cycle (h = d) gives the 1-square C = (n^d) and
+    no power step at all.
     """
-    d = graph.d
+    d, h = graph.d, period(graph)
+    if h == 1:
+        base = range(d)
+    else:
+        base = [v for v, level in enumerate(_levels(graph)) if level % h == 0]
+    index = [0] * d
+    for i, u in enumerate(base):
+        index[u] = i
+    # row u of A at each class-0 vertex u, counted off the letters, then
+    # h - 1 sparse steps to row u of A^h, which is row u of C
+    action = graph.action
+    walks = [{} for _ in base]
+    for perm in action:
+        for walk, u in zip(walks, base):
+            w = perm[u] - 1
+            walk[w] = walk.get(w, 0) + 1
+    for _ in range(h - 1):
+        steps = []
+        for walk in walks:
+            step: dict[int, int] = {}
+            for v, count in walk.items():
+                for perm in action:
+                    w = perm[v] - 1
+                    step[w] = step.get(w, 0) + count
+            steps.append(step)
+        walks = steps
+    terms = [[(index[w], c) for w, c in walk.items()] for walk in walks]
     bits = (graph.rank**d).bit_length() + 1
     mask = (1 << bits) - 1
-    counts = [{} for _ in range(d)]
-    for perm in graph.action:
-        for i, w in enumerate(perm):
-            counts[i][w - 1] = counts[i].get(w - 1, 0) + 1
-    terms = [list(row.items()) for row in counts]
-    rows = [sum(a << (bits * t) for t, a in row) for row in terms]
+    rows = [sum(c << (bits * t) for t, c in row) for row in terms]
     coeffs = [1]
     power_sums: list[int] = []
-    for k in range(1, d + 1):
+    for k in range(1, len(terms) + 1):
         if k > 1:
-            # row i of A^k = sum over the nonzeros a_it of a_it * row t of A^(k-1)
-            product = []
-            for row in terms:
-                acc = 0
-                for t, a in row:
-                    acc += rows[t] if a == 1 else a * rows[t]
-                product.append(acc)
-            rows = product
+            rows = _power_step(terms, rows)
         power_sums.append(sum((row >> (bits * i)) & mask for i, row in enumerate(rows)))
         # c_0 p_k + c_1 p_(k-1) + ... + c_(k-1) p_1, with c_0 = 1
         c, rem = divmod(-sum(map(operator.mul, coeffs, reversed(power_sums))), k)
         assert rem == 0, "Newton's identities: division by k must be exact"
         coeffs.append(c)
-    return IntPolynomial(coeffs)
+    spread = [0] * (h * len(terms) + 1)
+    spread[::h] = coeffs
+    return IntPolynomial(spread)
+
+
+def _power_step(terms: list[list[tuple[int, int]]], rows: list[int]) -> list[int]:
+    """The packed rows of C^k from those of C^(k-1): row i is the sum over
+    the nonzeros c_it of row i of C of c_it * row t."""
+    product = []
+    for row in terms:
+        acc = 0
+        for t, c in row:
+            acc += rows[t] if c == 1 else c * rows[t]
+        product.append(acc)
+    return product
 
 
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
 def char_data(graph: SchreierGraph) -> SpectralSummary:
     """Period, q(z) = det(I - zA) and the multiplicity of eigenvalue 0 of
     a Schreier graph: the period from its memoised BFS, q from the packed
-    powers A, A^2, ..., A^d.  Memoised per graph.  A is irreducible by the
-    lemma of the module docstring, so there is nothing to check."""
+    powers C, C^2, ..., C^(d/h) of its block form.  Memoised per graph.  A
+    is irreducible by the lemma of the module docstring, so there is
+    nothing to check."""
     q = _reciprocal_charpoly(graph)
     return SpectralSummary(
         period=period(graph),

@@ -609,8 +609,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 def test_analyze_loads_no_cyclo_on_many_coprime_periods(tmp_path):
     # a rank-2 lift of a covering of Z with periods 6, 10, 42, 78, 110 and
-    # 170, whose product M = 510 510 the pushforward check runs over: it
-    # still decides the 146 residue sums, with no cyclotomic arithmetic
+    # 170, whose product is M = 510 510: a cyclic family, so the covering
+    # certificate decides it and the 146 residue sums, with no cyclotomic
+    # arithmetic
     classes = [(6, 4), (10, 5), (10, 7), (10, 9)]
     for p, (d, r) in zip((7, 13, 11, 17), [(6, 0), (6, 2), (10, 1), (10, 3)]):
         classes += [(d * p, r + d * t) for t in range(p)]

@@ -124,8 +124,9 @@ def test_reports_off_the_certificate_are_json_identical(corpus, monkeypatch):
     for key, spec in corpus.items():
         report = json.dumps(formats.analysis_report_to_json(analyze(spec)))
         assert report == expected[key], key
-    # rank 1 keeps the verdict's certificate; the six periodic rank >= 2
-    # specs of the corpus evaluated their sums, at m = 1 once per period
+    # cyclic families (rank 1 here) keep the verdict's certificate; the six
+    # periodic rank >= 2 specs of the corpus evaluated their sums, at m = 1
+    # once per period
     assert sorted(evaluated) == [(2, 1)] * 4 + [(5, 1)] * 2
 
 
@@ -137,7 +138,8 @@ def lifted_records(classes):
 
 
 def test_rank1_certificate_is_the_covering_verdict(mutants):
-    # analyze takes a rank-1 verdict as the certificate: with every weight
+    # analyze takes the verdict of a cyclic family (every period equal to
+    # its index, as in rank 1) as the certificate: with every weight
     # h_i/d_i = 1 the cover is the covering system itself
     verdicts = {True: 0, False: 0}
     for classes in z_families(mutants):

@@ -6,6 +6,7 @@ from cosetpart.oracle import divides, reciprocal_charpoly_by_faddeev
 from cosetpart.poly import IntPolynomial
 from cosetpart.partition import _cyclic_class
 from cosetpart.schreier import SchreierGraph, coset, from_permutations, trivial_graph
+from cosetpart import spectral
 from cosetpart.spectral import char_data, period, transition_matrix
 
 
@@ -103,12 +104,24 @@ def test_no_root_inside_radius(graph_family):
 def _reference_graphs(graph_family, corpus, random_graph):
     graphs = list(graph_family.values())
     graphs += [random_graph(d, 1, h) for d in (16, 24, 32, 80) for h in (1, 2)]
+    # the block form at every period p | d
+    graphs += [
+        random_graph(d, seed, p)
+        for d in (12, 36, 48)
+        for p in range(3, d + 1)
+        if d % p == 0
+        for seed in (1, 2)
+    ]
     # small random graphs often have two equal rows, so deg q < d
     graphs += [random_graph(d, seed) for d in range(3, 9) for seed in range(1, 6)]
     # rank 3, two equal letters: entries 2, and 3 where c agrees with a
     graphs.append(from_permutations(3, [(2, 3, 4, 5, 6, 7, 1)] * 2 + [(2, 1, 3, 5, 4, 7, 6)]))
     for spec in corpus.values():
         graphs.extend(m.graph for m in spec.members)
+    # rank-2 lifts of d-cycles: b = a (period d), and b trivial (period 1)
+    for d in (2, 6, 15, 40):
+        a = tuple(range(2, d + 1)) + (1,)
+        graphs += [from_permutations(2, [a, a]), from_permutations(2, [a, range(1, d + 1)])]
     # moved basepoints: the same matrices keyed by other graphs
     graphs += [SchreierGraph(g.action, g.d) for g in graphs]
     return list(dict.fromkeys(graphs))
@@ -138,3 +151,26 @@ def test_charpoly_at_the_packing_bound():
             assert cd.period == d
             classes = [_cyclic_class(coset(graph, (1,) * k), d) for k in range(d)]
             assert classes == list(range(d))
+
+
+def test_block_form_power_step_count(monkeypatch, random_graph):
+    # C is (d/h)-square, so Newton takes d/h - 1 power steps: none on a
+    # d-cycle, where C = (n^d)
+    steps = []
+
+    def counted(terms, rows):
+        steps.append(len(terms))
+        return power_step(terms, rows)
+
+    power_step = spectral._power_step
+    monkeypatch.setattr(spectral, "_power_step", counted)
+    a = tuple(range(2, 513)) + (1,)
+    cycle = from_permutations(2, [a, a])
+    assert spectral._reciprocal_charpoly(cycle) == IntPolynomial([1] + [0] * 511 + [-(2**512)])
+    assert steps == []
+    for d, h in ((16, 1), (16, 4), (48, 16)):
+        steps.clear()
+        graph = random_graph(d, 1, h)
+        q = spectral._reciprocal_charpoly(graph)
+        assert q == reciprocal_charpoly_by_faddeev(transition_matrix(graph))
+        assert steps == [d // h] * (d // h - 1)

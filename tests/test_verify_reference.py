@@ -3,18 +3,20 @@
 `verify_by_word_labels` is the product-orbit BFS that stores every orbit
 tuple's whole witness word.  `verify_by_member_coordinates` keeps parent
 pointers but gives each orbit tuple one coordinate per member.
-`verify_partition` keeps parent pointers and one coordinate per distinct
-Schreier graph, and must return the same verdict (status, witness and
-overlap indices) as both on valid and defective families.  `orbit_size`
+`verify_partition` packs one coordinate per distinct Schreier graph into
+a str, keeps only the letter reaching each, and must return the same
+verdict (status, witness and overlap indices) as both on valid and
+defective families.  `orbit_size`
 counts the orbit such a walk visits.  Short witnesses are also checked
 from first principles: no shorter positive word, and no shortlex-earlier
 one of the same length, is a defect.  `z_verify` is
 checked against a membership count over the residues mod lcm.
 
-In rank 1 `verify_partition` reads residues off the cycles and decides
-with the covering certificate, so the references are the only walks over
-rank-1 orbits here; the rank-2 lift of a covering, both letters acting as
-the d-cycle, keeps the product-orbit walk checked against the certificate.
+On a cyclic family (every period equal to its index, as in rank 1)
+`verify_partition` reads residues off the cycles and decides with the
+covering certificate, so the references are the only walks over such
+orbits here; the rank-2 lift of a covering with the second letter acting
+trivially keeps the product-orbit walk checked against the certificate.
 """
 
 import itertools
@@ -25,6 +27,9 @@ import time
 import tracemalloc
 from collections import deque
 
+import pytest
+
+from cosetpart import partition
 from cosetpart.corpus import generate_partition
 from cosetpart.covering import (
     GAP,
@@ -32,10 +37,11 @@ from cosetpart.covering import (
     OVERLAP,
     PartitionSpec,
     PartitionVerdict,
+    _z_verdict,
     z_verify,
 )
 from cosetpart.oracle import enumerate_positive
-from cosetpart.partition import _orbit_word, verify_partition, z_lift
+from cosetpart.partition import verify_partition, z_lift
 from cosetpart.schreier import SchreierGraph, coset, from_permutations, membership
 from cosetpart.zcovering import generate_z_covering
 
@@ -66,6 +72,16 @@ def verify_by_word_labels(spec):
     return PartitionVerdict(IS_PARTITION)
 
 
+def tuple_word(parent, tup):
+    """The BFS word reaching tup: its letters read back along the parent
+    pointers, then reversed."""
+    letters = []
+    while (link := parent[tup]) is not None:
+        tup, letter = link
+        letters.append(letter)
+    return tuple(reversed(letters))
+
+
 def verify_by_member_coordinates(spec):
     """Parent-pointer walk whose tuples hold one vertex per member."""
     members = spec.members
@@ -81,7 +97,7 @@ def verify_by_member_coordinates(spec):
         tup = queue.popleft()
         if sum(map(operator.eq, tup, accepts)) != 1:
             hits = [i for i, v in enumerate(tup, start=1) if v == accepts[i - 1]]
-            witness = _orbit_word(parent, tup)
+            witness = tuple_word(parent, tup)
             if not hits:
                 return PartitionVerdict(GAP, witness=witness)
             return PartitionVerdict(
@@ -248,21 +264,25 @@ def test_rank1_verdicts_on_relabelled_cycles(mutants):
     assert len(basepoints) > 1
 
 
-def z_lift_to_f2(classes):
-    """The covering lifted to F_2 with both letters acting as the d-cycle:
-    the product orbit is the rank-1 chain of lcm tuples, walked by BFS."""
-    cycles = {}
+def z_lift_to_f2(classes, b_trivial=False):
+    """The covering lifted to F_2, the letter a acting as the d-cycle and b
+    as the d-cycle too, or trivially.  Either way the product orbit is the
+    rank-1 chain of lcm tuples.  With b = a the family is cyclic (period =
+    index) and the certificate decides it; with b trivial every period is
+    1 and the orbit is walked by BFS."""
+    graphs = {}
     for d, _ in classes:
         cycle = tuple(v % d + 1 for v in range(1, d + 1))
-        cycles.setdefault(d, SchreierGraph((cycle, cycle)))
+        b = tuple(range(1, d + 1)) if b_trivial else cycle
+        graphs.setdefault(d, SchreierGraph((cycle, b)))
     return PartitionSpec(
-        2, tuple(coset(cycles[d], (1,) * (r % d)) for d, r in classes)
+        2, tuple(coset(graphs[d], (1,) * (r % d)) for d, r in classes)
     )
 
 
-def assert_f2_lift_matches_certificate(classes):
+def assert_f2_lift_matches_certificate(classes, b_trivial=False):
     verdict = z_verify(classes)
-    lifted = verify_partition(z_lift_to_f2(classes))
+    lifted = verify_partition(z_lift_to_f2(classes, b_trivial))
     if verdict.ok:
         assert lifted == verdict
     else:
@@ -273,8 +293,50 @@ def assert_f2_lift_matches_certificate(classes):
 
 
 def test_f2_lift_walk_matches_z_verify(mutants):
-    statuses = {assert_f2_lift_matches_certificate(c) for c in z_families(mutants)}
-    assert statuses == {IS_PARTITION, GAP, OVERLAP}
+    for b_trivial in (False, True):
+        statuses = {
+            assert_f2_lift_matches_certificate(c, b_trivial) for c in z_families(mutants)
+        }
+        assert statuses == {IS_PARTITION, GAP, OVERLAP}
+
+
+# the coprime rank-2 lift of the CI workflow: periods 6, 10, 42, 78, 110
+# and 170, so an orbit of M = 510 510 tuples
+COPRIME_CLASSES = [(6, 4), (10, 5), (10, 7), (10, 9)] + [
+    (d * p, r + d * t)
+    for p, d, r in ((7, 6, 0), (13, 6, 2), (11, 10, 1), (17, 10, 3))
+    for t in range(p)
+]
+
+
+def test_cyclic_lift_is_decided_by_the_certificate(monkeypatch):
+    decided = []
+
+    def counted(classes):
+        decided.append(classes)
+        return _z_verdict(classes)
+
+    monkeypatch.setattr(partition, "_z_verdict", counted)
+    assert verify_partition(z_lift_to_f2(COPRIME_CLASSES)).ok
+    # the residues are read off the cycles: the classes themselves
+    assert decided == [COPRIME_CLASSES]
+    for mutant in (COPRIME_CLASSES[1:], COPRIME_CLASSES + COPRIME_CLASSES[-1:]):
+        assert assert_f2_lift_matches_certificate(mutant) != IS_PARTITION
+    assert len(decided) == 3
+    # one graph of period below its index, and the family is walked
+    classes = generate_z_covering(4, 1)
+    assert assert_f2_lift_matches_certificate(classes, b_trivial=True) == IS_PARTITION
+    assert len(decided) == 3
+
+
+def test_packed_states_have_a_code_point_bound():
+    # distinct graphs of 1..1493 vertices, a acting as the cycle and b
+    # trivially: 1 115 271 vertices in all, past the 0x110000 code points
+    labels = tuple(range(1, 1494))
+    graphs = [SchreierGraph((labels[1:d] + labels[:1], labels[:d])) for d in range(1, 1494)]
+    spec = PartitionSpec(2, tuple(coset(g, ()) for g in graphs))
+    with pytest.raises(ValueError, match=f"1115271 vertices in all; the orbit walk packs at most {0x110000}"):
+        verify_partition(spec)
 
 
 def test_z_verify_matches_count_on_all_small_families():
@@ -393,9 +455,9 @@ def test_verify_partition_memory_is_linear_in_the_orbit():
         for c in (generate_z_covering(10, seed) for seed in range(1, 100))
         if math.lcm(*(d for d, _ in c)) == 7200
     )
-    # rank 2, so the product-orbit walk runs: the orbit is the rank-1 chain
-    # of 7200 tuples, since both letters act alike
-    spec = z_lift_to_f2(classes)
+    # rank 2 with b trivial, so the product-orbit walk runs: the orbit is
+    # the rank-1 chain of 7200 tuples
+    spec = z_lift_to_f2(classes, b_trivial=True)
     tracemalloc.start()
     try:
         verdict = verify_partition(spec)
@@ -405,6 +467,7 @@ def test_verify_partition_memory_is_linear_in_the_orbit():
     assert verdict.status == IS_PARTITION
     # storing each tuple's whole witness word took about 200 MB on this input
     assert peak < 32 * 2**20, peak
-    assert assert_f2_lift_matches_certificate(classes) == IS_PARTITION
-    for mutant in (classes[1:], classes + classes[-1:]):
-        assert assert_f2_lift_matches_certificate(mutant) != IS_PARTITION
+    for b_trivial in (False, True):
+        assert assert_f2_lift_matches_certificate(classes, b_trivial) == IS_PARTITION
+        for mutant in (classes[1:], classes + classes[-1:]):
+            assert assert_f2_lift_matches_certificate(mutant, b_trivial) != IS_PARTITION
