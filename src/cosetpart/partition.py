@@ -30,19 +30,19 @@ reach, so one big-integer comparison decides the identity in Z[z].  The
 residual is put in normal form only when it is nonzero, and the
 coefficient identity is then read off its series (see _identities).
 Residues and lemma 8 come in closed form from each member's index d_i,
-period h_i and cyclic class l_i, the exponent sum of its representative
-mod h_i (see _residue_sum and _cyclic_class): at zeta_h / n the check
-reads
+period h_i and cyclic class l_i, the BFS level of its vertex mod h_i
+(see _residue_sum and _cyclic_class): at zeta_h / n the check reads
 sum_{i: h | h_i} zeta_h^(l_i) / d_i = 0, the Davenport-Rado sum for Z made
-literal.  The exponent sum pushes a coset partition forward to a
-fractional exact cover of Z, sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for
-every x, and by Fourier inversion that one integer condition holds iff
-sum_i 1/d_i = 1 and every such residue sum vanishes (see
-_pushforward_holds, with the proof).  So analyze decides all residue
-entries by stride sums over Z/lcm(h_i), and reports each as a zero of
-Q(zeta_h) built without the cyclo module; the check's steps are bounded
-by the orbit verify_partition has already walked.  Only when the cover
-fails, which contradicts the theory, does it evaluate them in Q(zeta_h).
+literal.  The exponent sum, which is l_i mod h_i on the whole coset,
+pushes a coset partition forward to a fractional exact cover of Z,
+sum_i (h_i/d_i) [x = l_i (mod h_i)] = 1 for every x, and by Fourier
+inversion that one integer condition holds iff sum_i 1/d_i = 1 and
+every such residue sum vanishes (see _pushforward_holds, with the
+proof).  So analyze decides all residue entries by stride sums over
+Z/lcm(h_i), and reports each as a zero of Q(zeta_h) built without the
+cyclo module; the check's steps are bounded by the orbit
+verify_partition has already walked.  Only when the cover fails, which
+contradicts the theory, does it evaluate them in Q(zeta_h).
 
 z_lift (one shared d-cycle per modulus d) gives a covering system of Z
 to the general machinery, with the certificate's verdict and the moduli
@@ -112,12 +112,12 @@ def verify_partition(spec: PartitionSpec) -> PartitionVerdict:
     every letter raises the class by 1 (spectral.period), so all letters
     act as one d-cycle.  After k letters the basepoint has moved onto
     member i's vertex iff k = r_i (mod d_i), r_i being the member's cyclic
-    class: the exponent sum of its representative mod d_i (see
-    _cyclic_class).  The walk would reach the tuples in that order, each
-    first by the word a^k, and stop at the first k not on exactly one
-    member, which is z_verify's scan of the classes d_i Z + r_i; so the
-    certificate decides, and a defect x becomes the witness a^x, the same
-    verdict the walk returns.
+    class: the BFS level of its vertex (see _cyclic_class).  The walk
+    would reach the tuples in that order, each first by the word a^k,
+    and stop at the first k not on exactly one member, which is
+    z_verify's scan of the classes d_i Z + r_i; so the certificate
+    decides, and a defect x becomes the witness a^x, the same verdict the
+    walk returns.
     """
     members = spec.members
     if spec.rank == 1 or all(period(m.graph) == m.graph.d for m in members):
@@ -304,18 +304,10 @@ class CyclicRecord(namedtuple("CyclicRecord", "index period cyclic_class")):
 
 
 def _cyclic_class(member: Coset, h: int) -> int:
-    """The member's cyclic class for its graph's period h: l(rep) mod h,
-    the exponent sum l counting each letter +1 and each inverse -1.
-
-    Proof.  h is the gcd of level(u) + 1 - level(w) over all letter edges
-    u -> w (spectral.period), so every letter raises a vertex's class by
-    1 mod h, and an inverse letter lowers it by 1.  Coset guarantees that
-    rep resolves to the member's vertex, so the class relative to the
-    basepoint is l(rep) mod h.  Free reduction does not change l."""
-    if h == 1:
-        return 0
-    rep = member.rep
-    return (len(rep) - 2 * len([x for x in rep if x < 0])) % h
+    """The member's cyclic class for its graph's period h: the BFS level
+    of its vertex from the basepoint, mod h (SchreierGraph.levels, kept
+    by the walk that built the graph)."""
+    return member.graph.levels[member.vertex - 1] % h
 
 
 def _cyclic_record(member: Coset, h: int) -> CyclicRecord:
@@ -336,7 +328,7 @@ def residue_sum_check(spec: PartitionSpec, h: int, m: int) -> "CycloNumber":
     a pole of 1/(1-nz) itself and the sum is its residue -1/n (a
     CycloNumber equal to Fraction(-1, n)).  Each residue comes in closed
     form from the member's index, period and cyclic class (see
-    _residue_sum), with one memoised BFS per graph.
+    _residue_sum), with one memoised period per graph.
     """
     if h < 1 or math.gcd(m, h) != 1:
         raise ValueError(f"m = {m} must be coprime to h = {h}")
@@ -394,7 +386,9 @@ def _pushforward_holds(records) -> bool:
     1/d_i, and l mod M maps H_i/N homomorphically onto h_i Z/M Z, with
     fibres of equal size; so H_i x_i pushes forward to mass (1/d_i)(h_i/M)
     on each of the M/h_i residues x = l_i (mod h_i), as l(x_i) = l_i
-    (mod h_i).  The cosets partition G, which pushes forward to mass 1/M
+    (mod h_i): x_i walks from the basepoint, of class 0, to the member's
+    vertex, of class l_i, and each letter of it moves the class by its
+    sign.  The cosets partition G, which pushes forward to mass 1/M
     on every residue; multiply by M.
 
     The residue sums.  For h > 1 dividing M and m coprime to h, weight

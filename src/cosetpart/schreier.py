@@ -40,6 +40,11 @@ class SchreierGraph(namedtuple("SchreierGraph", "action basepoint")):
     the a-th generator.  Each letter acts as a permutation of 1..d and the
     action is transitive from the basepoint over positive letters alone.
 
+    Construction walks the graph once, breadth first from the basepoint,
+    to check transitivity, and keeps what the walk finds as levels: mod
+    the period (spectral.period reads it) a vertex's level is its cyclic
+    class, so the block form of q(z) and every member's class read it too.
+
     An immutable named tuple (action, basepoint), basepoint 1 by default:
     equality and hash are those of the field tuple, so a graph also
     compares equal to the plain tuple of its fields."""
@@ -55,29 +60,39 @@ class SchreierGraph(namedtuple("SchreierGraph", "action basepoint")):
                 raise ValueError(f"letter {a}: action is not a permutation of 1..{d}")
         if not 1 <= basepoint <= d:
             raise ValueError(f"basepoint {basepoint} not in 1..{d}")
-        # 0-based breadth-first walk: order grows behind the cursor
-        reached = [False] * d
-        reached[basepoint - 1] = True
-        order = [basepoint - 1]
-        for v in order:
-            for perm in action:
-                w = perm[v] - 1
-                if not reached[w]:
-                    reached[w] = True
-                    order.append(w)
-        if len(order) != d:
-            raise NotTransitive(
-                f"only {len(order)} of {d} vertices reachable from the basepoint"
-            )
-        return _tuple_new(cls, (action, basepoint))
+        graph = _tuple_new(cls, (action, basepoint))
+        graph.levels  # the one walk of the graph, which raises NotTransitive
+        return graph
 
-    # instances keep a __dict__ only for the cached inverse_action, which
-    # cached_property writes there directly; every other assignment fails
+    # instances keep a __dict__ only for the cached levels and inverse_action,
+    # which cached_property writes there directly; every other assignment fails
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: SchreierGraph is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: SchreierGraph is immutable")
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """BFS level of every vertex from the basepoint over the letter
+        edges, indexed by vertex - 1.  Its walk is the transitivity check:
+        it raises NotTransitive if some vertex is not reached."""
+        action, d = self.action, self.d
+        level = [-1] * d
+        level[self.basepoint - 1] = 0
+        order = [self.basepoint - 1]
+        for v in order:  # breadth first: order grows behind the cursor
+            up = level[v] + 1
+            for perm in action:
+                w = perm[v] - 1
+                if level[w] < 0:
+                    level[w] = up
+                    order.append(w)
+        if len(order) != d:
+            raise NotTransitive(
+                f"only {len(order)} of {d} vertices reachable from the basepoint"
+            )
+        return tuple(level)
 
     @property
     def rank(self) -> int:

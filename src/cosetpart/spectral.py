@@ -12,13 +12,13 @@ The period and q(z) = det(I - zA) are therefore properties of the
 graph, and each is computed from the graph itself: no matrix is built,
 hashed or checked for them.
 
-One BFS over the letter permutations gives the period h (in rank 1 it
-is d, with no BFS); it is memoised per graph, so each distinct graph
-runs it once.  A vertex's cyclic class is its BFS level mod h (_levels);
-a coset's is read off its representative (partition._cyclic_class), so
-no per-vertex table is kept.  The eigenvalues of modulus n are n * omega
-for the h-th roots of unity omega, each simple, with eigenvectors
-omega^class (Perron-Frobenius).
+No graph is walked here.  The walk that built the graph kept each
+vertex's BFS level from the basepoint (SchreierGraph.levels), and one
+gcd sweep over the letter edges reads the period h off it (in rank 1 it
+is d, with no sweep), memoised per graph.  A vertex's cyclic class is
+its level mod h, and so is a coset's (partition._cyclic_class).  The
+eigenvalues of modulus n are n * omega for the h-th roots of unity
+omega, each simple, with eigenvectors omega^class (Perron-Frobenius).
 
 q(z) is kept exact, as an integer polynomial.  Ordered by cyclic class,
 A is block-cyclic, and q(z) = q_C(z^h) for the (d/h)-square matrix C of
@@ -63,35 +63,20 @@ def transition_matrix(graph: SchreierGraph) -> Matrix:
 SPECTRAL_CACHE_SIZE = 256
 
 
-def _levels(graph: SchreierGraph) -> list[int]:
-    """BFS level of every vertex (0-based) from vertex 1 over the letter
-    edges."""
-    action = graph.action
-    level = [-1] * graph.d
-    level[0] = 0
-    order = [0]
-    for u in order:  # breadth first: order grows behind the cursor
-        for perm in action:
-            v = perm[u] - 1
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                order.append(v)
-    return level
-
-
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
 def period(graph: SchreierGraph) -> int:
     """Period of the transition matrix: the gcd over all edges u->v of
-    level(u) + 1 - level(v), level being the BFS level from vertex 1 over
-    the letter edges (_levels).  This equals the gcd of all closed-walk
-    lengths as the digraph is strongly connected (module docstring).
-    Memoised per graph, so members sharing a graph run one BFS.
+    level(u) + 1 - level(v), level being the BFS level from the basepoint
+    over the letter edges (graph.levels, from the walk that built the
+    graph).  This equals the gcd of all closed-walk lengths as the digraph
+    is strongly connected (module docstring).  Memoised per graph, so
+    members sharing a graph run one gcd sweep.
 
     Rank 1 runs none: the single letter's permutation is transitive, so it
     is one d-cycle, whose only closed walks are the multiples of d."""
     if graph.rank == 1:
         return graph.d
-    level = _levels(graph)
+    level = graph.levels
     g = 0
     for perm in graph.action:
         for u, w in enumerate(perm):
@@ -116,14 +101,15 @@ def _reciprocal_charpoly(graph: SchreierGraph) -> IntPolynomial:
     (d/h)-square matrix C of length-h walks from class 0 back to class 0.
 
     Block form.  Number the cyclic classes 0..h-1 by BFS level mod h
-    (_levels; vertex 1 is in class 0).  Every letter raises the class by
-    1 mod h (period), so A maps class c into class c + 1 only: ordered by
-    class, A is block-cyclic with blocks A_(c,c+1).  The classes have
-    equal sizes m = d/h, since the n m_c letter edges leaving class c are
-    the n m_(c+1) entering class c + 1.  C = A_(0,1) A_(1,2) ... A_(h-1,0)
-    is m-square, and its row for a class-0 vertex u is e_u A^h, which lies
-    on class 0: the row of A at u, counted off the letters, then h - 1
-    sparse steps.  For h = 1, C is A.
+    (graph.levels; the basepoint is in class 0).  Every letter raises the
+    class by 1 mod h (period), so A maps class c into class c + 1 only:
+    ordered by class, A is block-cyclic with blocks A_(c,c+1).  The classes
+    have equal sizes m = d/h, since the n m_c letter edges leaving class c
+    are the n m_(c+1) entering class c + 1.  C = A_(0,1) A_(1,2) ...
+    A_(h-1,0) is m-square, and its row for a class-0 vertex u is e_u A^h,
+    which lies on class 0: h sparse steps from e_u.  For h = 1, C is A.
+    Which class is numbered 0 does not change q, as det(I - zA) does not
+    depend on the order of the vertices.
 
     Lemma.  det(I - zA) = det(I - z^h C).  Proof.  A closed walk raises
     the class by its length, so tr(A^k) = 0 unless h | k.  A^(hj) maps
@@ -147,22 +133,15 @@ def _reciprocal_charpoly(graph: SchreierGraph) -> IntPolynomial:
     no power step at all.
     """
     d, h = graph.d, period(graph)
-    if h == 1:
-        base = range(d)
-    else:
-        base = [v for v, level in enumerate(_levels(graph)) if level % h == 0]
+    base = [u for u, level in enumerate(graph.levels) if level % h == 0]
     index = [0] * d
     for i, u in enumerate(base):
         index[u] = i
-    # row u of A at each class-0 vertex u, counted off the letters, then
-    # h - 1 sparse steps to row u of A^h, which is row u of C
+    # h sparse steps from each class-0 vertex u give row u of A^h, which is
+    # row u of C
     action = graph.action
-    walks = [{} for _ in base]
-    for perm in action:
-        for walk, u in zip(walks, base):
-            w = perm[u] - 1
-            walk[w] = walk.get(w, 0) + 1
-    for _ in range(h - 1):
+    walks = [{u: 1} for u in base]
+    for _ in range(h):
         steps = []
         for walk in walks:
             step: dict[int, int] = {}
@@ -206,10 +185,10 @@ def _power_step(terms: list[list[tuple[int, int]]], rows: list[int]) -> list[int
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
 def char_data(graph: SchreierGraph) -> SpectralSummary:
     """Period, q(z) = det(I - zA) and the multiplicity of eigenvalue 0 of
-    a Schreier graph: the period from its memoised BFS, q from the packed
-    powers C, C^2, ..., C^(d/h) of its block form.  Memoised per graph.  A
-    is irreducible by the lemma of the module docstring, so there is
-    nothing to check."""
+    a Schreier graph: the period from its memoised gcd sweep, q from the
+    packed powers C, C^2, ..., C^(d/h) of its block form.  Memoised per
+    graph.  A is irreducible by the lemma of the module docstring, so
+    there is nothing to check."""
     q = _reciprocal_charpoly(graph)
     return SpectralSummary(
         period=period(graph),

@@ -15,6 +15,7 @@ from cosetpart.covering import PartitionSpec
 from cosetpart.folding import _orbit_graph
 from cosetpart.schreier import (
     NotTransitive,
+    SchreierGraph,
     coset,
     from_permutations,
     subgroup_coset,
@@ -34,6 +35,23 @@ def bfs_relabelled(graph):
     """The graph renumbered by the orbit walk: vertex numbers in BFS
     discovery order from the basepoint, which becomes 1."""
     return _orbit_graph(graph.rank, graph.basepoint, lambda v, a: graph.action[a][v - 1])
+
+
+def relabelled_cycle_family(rng):
+    """A rank-1 family on randomly relabelled d-cycles with random
+    basepoints: a covering of Z, each class (d, r) carried by a fresh
+    labelling of the d-cycle, its coset r steps past the basepoint, with
+    the representative a^r or the negative power a^(r - d)."""
+    classes = generate_z_covering(rng.randrange(1, 6), rng.randrange(1000))
+    members = []
+    for d, r in classes:
+        labels = rng.sample(range(1, d + 1), d)  # labels[k]: k steps past the basepoint
+        perm = [0] * d
+        for k in range(d):
+            perm[labels[k] - 1] = labels[(k + 1) % d]
+        graph = SchreierGraph((tuple(perm),), labels[0])
+        members.append(coset(graph, (1,) * r if rng.randrange(2) else (-1,) * (d - r)))
+    return tuple(members)
 
 
 @pytest.fixture(scope="session")

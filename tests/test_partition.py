@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import relabelled_cycle_family
 
 from cosetpart import partition, ratfunc, spectral
 from cosetpart.corpus import _meet, _split, generate_partition
@@ -298,8 +299,8 @@ def test_z_lift_shares_one_graph_per_modulus(z_coverings):
 
 def test_member_periods_run_once_per_modulus(z_coverings):
     # member_periods and analyze (whose char_data reads the same memoised
-    # BFS) share one period BFS per modulus; rank-1 verify_partition reads
-    # each class off its representative and runs none
+    # period) share one gcd sweep per modulus; rank-1 verify_partition reads
+    # each class off its graph's levels and runs none
     for classes in z_coverings[-6:]:
         spectral.period.cache_clear()
         lifted = z_lift(classes)
@@ -326,14 +327,20 @@ def test_analyze_looks_up_spectra_once_per_graph(monkeypatch, random_graph):
     spectral.period.cache_clear()
     report = analyze(spec)
     assert report.all_checks_pass
-    lemma8_diagnostic(spec)  # reads the period BFS, not char_data
+    lemma8_diagnostic(spec)  # reads the memoised period, not char_data
     assert len(looked_up) == 1 and len(spec.members) == 12
     assert spectral.period.cache_info().misses == 1
 
 
+def exponent_sum(word):
+    return len(word) - 2 * len([x for x in word if x < 0])
+
+
 def test_cyclic_class_is_the_exponent_sum_of_the_rep(random_graph):
-    # the transversal word is a positive path to the member's vertex, so its
-    # length mod h is the class, independently of the signed representative
+    # the class is the level of the member's vertex, and the transversal
+    # word is a positive path there of that length; every letter of the
+    # signed representative moves the class by its sign, so the exponent
+    # sum of the rep gives the class too (the lemma _pushforward_holds uses)
     rng = random.Random(23)
     signed = 0
     for h in (1, 2, 3):
@@ -347,7 +354,18 @@ def test_cyclic_class_is_the_exponent_sum_of_the_rep(random_graph):
                     signed += any(x < 0 for x in member.rep)
                 expected = len(reps[member.vertex - 1]) % h
                 assert partition._cyclic_class(member, h) == expected
+                assert exponent_sum(member.rep) % h == expected
     assert signed > 0
+    # rank-1 relabelled cycles with moved basepoints, each rep a^r or
+    # a^(r - d): the classes the cyclic branch of verify_partition reads
+    rng = random.Random(24)
+    basepoints = set()
+    for _ in range(20):
+        for member in relabelled_cycle_family(rng):
+            d = member.graph.d
+            basepoints.add(member.graph.basepoint)
+            assert partition._cyclic_class(member, d) == exponent_sum(member.rep) % d
+    assert len(basepoints) > 1
 
 
 def test_residue_and_lemma8_wrappers_skip_spectra_and_genfuncs(

@@ -66,14 +66,21 @@ def test_record_contract(cls):
 
 
 def test_graph_refuses_new_attributes():
-    # the graph keeps a __dict__ for its cached inverse_action, and only that
+    # the graph keeps a __dict__ for its cached levels and inverse_action,
+    # and only those
     graph = _graph()
     with pytest.raises(AttributeError):
         graph.extra = 1
     inverse = graph.inverse_action
     assert inverse == ((4, 1, 2, 3), (2, 1, 4, 3)) and graph.inverse_action is inverse
-    with pytest.raises(AttributeError):
-        del graph.inverse_action
+    levels = graph.levels
+    assert levels == (0, 1, 2, 3) and graph.levels is levels
+    for name in ("inverse_action", "levels"):
+        with pytest.raises(AttributeError):
+            setattr(graph, name, ())
+        with pytest.raises(AttributeError):
+            delattr(graph, name)
+    assert graph.levels is levels and graph.inverse_action is inverse
     assert graph == _graph() and hash(graph) == hash(_graph())
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import bfs_relabelled
+from conftest import bfs_relabelled, relabelled_cycle_family
 
 from cosetpart.folding import fold
 from cosetpart.oracle import enumerate_reduced
@@ -9,6 +9,7 @@ from cosetpart.schreier import (
     Coset,
     InfiniteIndex,
     NotTransitive,
+    SchreierGraph,
     coset,
     from_permutations,
     membership,
@@ -139,6 +140,20 @@ def test_transversal_resolves_to_own_vertex(graph_family):
         for v, t in enumerate(reps, start=1):
             assert all(x > 0 for x in t)
             assert resolve(graph, t) == v
+
+
+def test_levels_are_transversal_lengths(graph_family, random_graph):
+    # the construction walk is breadth first from the basepoint, as is the
+    # transversal's, so a vertex's level is the length of its word
+    graphs = list(graph_family.values())
+    graphs += [random_graph(d, seed, h) for h in (1, 2, 3, 4) for d in (12, 24) for seed in (1, 2)]
+    rng = random.Random(3)
+    graphs += [m.graph for _ in range(10) for m in relabelled_cycle_family(rng)]
+    graphs += [SchreierGraph(g.action, v) for g in graphs if g.d <= 12 for v in range(1, g.d + 1)]
+    assert len({g.basepoint for g in graphs if g.rank == 1}) > 1
+    for graph in graphs:
+        reps = transversal(graph)
+        assert graph.levels == tuple(len(t) for t in reps), graph
 
 
 def test_positive_reachability_everywhere(graph_family):

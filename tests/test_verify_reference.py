@@ -28,6 +28,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
+from conftest import relabelled_cycle_family
 
 from cosetpart import partition
 from cosetpart.corpus import generate_partition
@@ -222,23 +223,6 @@ def test_lifted_verdicts_match_reference_and_z_verify(mutants):
                 verdict.overlap_indices,
             )
     assert statuses == {IS_PARTITION, GAP, OVERLAP}
-
-
-def relabelled_cycle_family(rng):
-    """A rank-1 family on randomly relabelled d-cycles with random
-    basepoints: a covering of Z, each class (d, r) carried by a fresh
-    labelling of the d-cycle, its coset r steps past the basepoint, with
-    the representative a^r or the negative power a^(r - d)."""
-    classes = generate_z_covering(rng.randrange(1, 6), rng.randrange(1000))
-    members = []
-    for d, r in classes:
-        labels = rng.sample(range(1, d + 1), d)  # labels[k]: k steps past the basepoint
-        perm = [0] * d
-        for k in range(d):
-            perm[labels[k] - 1] = labels[(k + 1) % d]
-        graph = SchreierGraph((tuple(perm),), labels[0])
-        members.append(coset(graph, (1,) * r if rng.randrange(2) else (-1,) * (d - r)))
-    return tuple(members)
 
 
 def shifted(members):
